@@ -11,15 +11,12 @@
 pub mod chaos;
 pub mod experiments;
 pub mod iofaults;
-pub mod loadtest;
-pub mod perf;
 
 pub use chaos::{
     parse_levels, run_chaos, run_chaos_with, ChaosConfig, ChaosLevelReport, ChaosReport,
 };
 pub use experiments::*;
 pub use iofaults::{run_io_faults, IoFaultConfig, IoFaultReport, ScheduleReport};
-pub use loadtest::{check_latency_regression, run_loadtest, LoadConfig, LoadReport};
 
 /// `println!` that survives a closed stdout: `repro figure1 | head` closes
 /// the pipe early, and the report must end quietly instead of panicking.

@@ -22,49 +22,6 @@ use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// A counting global allocator for `cmr bench`'s allocations-per-note
-/// metric. The library crates are `forbid(unsafe_code)`, so the allocator
-/// lives here in the binary; two relaxed atomic increments per allocation
-/// are noise next to the allocation itself.
-mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    pub struct Counting;
-
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    /// Cumulative `(allocations, bytes)` since process start.
-    pub fn snapshot() -> (u64, u64) {
-        (
-            ALLOCS.load(Ordering::Relaxed),
-            BYTES.load(Ordering::Relaxed),
-        )
-    }
-}
-
-#[global_allocator]
-static ALLOC: alloc_count::Counting = alloc_count::Counting;
-
 /// Graceful-shutdown plumbing: SIGINT/SIGTERM raise one shared flag the
 /// engine's feeder and the chaos sweep poll. The handler body is a single
 /// relaxed store — async-signal-safe. A second signal while draining
@@ -201,7 +158,6 @@ fn main() -> ExitCode {
             Ok(code) => return code,
             Err(e) => Err(e),
         },
-        "bench" => bench(rest),
         "parse" => parse(rest),
         "terms" => terms(rest),
         "lint" => match lint(rest) {
@@ -209,10 +165,6 @@ fn main() -> ExitCode {
             Err(e) => Err(e),
         },
         "serve" => match serve(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "loadtest" => match loadtest(rest) {
             Ok(code) => return code,
             Err(e) => Err(e),
         },
@@ -289,16 +241,6 @@ fn usage() {
          \u{20}      `journal::append=enospc@3`) against journaled extraction + resume\n\
          \u{20}      and a service burst; exits 2 on any invariant violation (lost or\n\
          \u{20}      duplicated record, divergent resume, non-deterministic replay)\n\
-         \u{20}  cmr bench [--records N] [--seed S] [--repeats R] [--jobs N] [--out FILE]\n\
-         \u{20}            [--baseline FILE] [--label TEXT] [--check FILE] [--threshold F]\n\
-         \u{20}            [--scaling jobs=1..N] [--check-scaling]\n\
-         \u{20}      run the perf harness over gold + generated corpora and write a JSON\n\
-         \u{20}      report (notes/sec, ns/field, cache hit rates, allocs/note, peak RSS);\n\
-         \u{20}      --baseline embeds FILE's headline numbers; --check FILE exits 1 when\n\
-         \u{20}      throughput regresses more than --threshold (default 0.25) vs FILE;\n\
-         \u{20}      --scaling sweeps the engine at each worker count and prints the\n\
-         \u{20}      per-jobs table; --check-scaling exits 1 when jobs=2 falls below\n\
-         \u{20}      95% of serial throughput (skips with a notice on 1-CPU machines)\n\
          \u{20}  cmr parse \"SENTENCE\"\n\
          \u{20}      print the link grammar linkage diagram and constituents\n\
          \u{20}  cmr terms \"TEXT\"\n\
@@ -312,14 +254,7 @@ fn usage() {
          \u{20}      run the resident extraction service (POST /extract,\n\
          \u{20}      POST /extract/batch NDJSON, GET /health, GET /metrics); a full\n\
          \u{20}      queue answers 429 + Retry-After; SIGINT/SIGTERM drain in-flight\n\
-         \u{20}      requests and exit 3\n\
-         \u{20}  cmr loadtest [--addr HOST:PORT] [--concurrency N] [--duration SECS]\n\
-         \u{20}               [--rps R] [--out FILE] [--check FILE] [--threshold F]\n\
-         \u{20}      drive POST /extract closed-loop (or open-loop at --rps) and report\n\
-         \u{20}      p50/p90/p99/p999 latency + error rates; --out writes the report as\n\
-         \u{20}      JSON (- for stdout, e.g. BENCH_serve.json); --check exits 1 when\n\
-         \u{20}      p99 regresses more than --threshold (default 0.5) vs FILE or any\n\
-         \u{20}      5xx/transport error occurred"
+         \u{20}      requests and exit 3"
     );
 }
 
@@ -1481,108 +1416,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(EXIT_PARTIAL))
 }
 
-/// `cmr loadtest`: drive a running `cmr serve` and report latency
-/// percentiles; optionally write `BENCH_serve.json` and gate on it.
-fn loadtest(args: &[String]) -> Result<ExitCode, String> {
-    use cmr::bench::loadtest::{check_latency_regression, run_loadtest, LoadConfig, LoadReport};
-
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut concurrency = "4".to_string();
-    let mut duration = "10".to_string();
-    let mut rps = String::new();
-    let mut timeout_ms = "10000".to_string();
-    let mut out = String::new();
-    let mut check = String::new();
-    let mut threshold = "0.5".to_string();
-    let extra = parse_flags(
-        args,
-        &mut [
-            ("addr", &mut addr),
-            ("concurrency", &mut concurrency),
-            ("duration", &mut duration),
-            ("rps", &mut rps),
-            ("timeout-ms", &mut timeout_ms),
-            ("out", &mut out),
-            ("check", &mut check),
-            ("threshold", &mut threshold),
-        ],
-        &mut [],
-    )?;
-    if !extra.is_empty() {
-        return Err(format!("loadtest takes no positional arguments: {extra:?}"));
-    }
-    let cfg = LoadConfig {
-        addr,
-        concurrency: concurrency
-            .parse()
-            .map_err(|_| "--concurrency must be an integer".to_string())?,
-        duration_secs: duration
-            .parse()
-            .map_err(|_| "--duration must be a number (seconds)".to_string())?,
-        rps: if rps.is_empty() {
-            None
-        } else {
-            Some(
-                rps.parse()
-                    .map_err(|_| "--rps must be a number".to_string())?,
-            )
-        },
-        timeout_ms: timeout_ms
-            .parse()
-            .map_err(|_| "--timeout-ms must be an integer".to_string())?,
-        ..LoadConfig::default()
-    };
-    let threshold: f64 = threshold
-        .parse()
-        .map_err(|_| "--threshold must be a number".to_string())?;
-
-    let report = run_loadtest(&cfg)?;
-    eprintln!(
-        "cmr: {} loop x{} for {:.1}s — {} ok ({:.1} req/s), {} rejected (429), \
-         {} client 4xx, {} server 5xx, {} refused, {} transport error(s), {} stale retried",
-        report.mode,
-        report.concurrency,
-        report.duration_secs,
-        report.ok,
-        report.throughput_rps,
-        report.rejected,
-        report.client_errors,
-        report.server_errors,
-        report.refused,
-        report.transport_errors,
-        report.retried_stale,
-    );
-    eprintln!(
-        "cmr: latency p50 {:.2}ms  p90 {:.2}ms  p99 {:.2}ms  p999 {:.2}ms  max {:.2}ms",
-        report.p50_us as f64 / 1000.0,
-        report.p90_us as f64 / 1000.0,
-        report.p99_us as f64 / 1000.0,
-        report.p999_us as f64 / 1000.0,
-        report.max_us as f64 / 1000.0,
-    );
-
-    if !out.is_empty() {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        if out == "-" {
-            outln!("{json}");
-        } else {
-            fs::write(&out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
-            eprintln!("cmr: wrote loadtest report to {out}");
-        }
-    }
-    if !check.is_empty() {
-        let json = fs::read_to_string(&check).map_err(|e| format!("reading {check}: {e}"))?;
-        let baseline: LoadReport =
-            serde_json::from_str(&json).map_err(|e| format!("parsing {check}: {e}"))?;
-        if let Err(msg) = check_latency_regression(&report, &baseline, threshold) {
-            eprintln!("cmr: SERVE LATENCY REGRESSION vs {check}: {msg}");
-            return Ok(ExitCode::from(1));
-        }
-        eprintln!("cmr: serve latency check vs {check} passed (threshold {threshold})");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn chaos(args: &[String]) -> Result<ExitCode, String> {
     let mut noise = "0..0.5".to_string();
     let mut seed = "7".to_string();
@@ -1749,222 +1582,6 @@ fn chaos_io_faults(
         ));
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn bench(args: &[String]) -> Result<(), String> {
-    use cmr::bench::perf::{self, BaselineSummary, BenchConfig, BenchReport};
-
-    let mut records = "150".to_string();
-    let mut seed = "2005".to_string();
-    let mut repeats = "3".to_string();
-    let mut jobs = "4".to_string();
-    let mut out = "-".to_string();
-    let mut baseline = String::new();
-    let mut label = "baseline".to_string();
-    let mut check = String::new();
-    let mut threshold = "0.25".to_string();
-    let mut scaling = String::new();
-    let mut check_scaling = false;
-    let extra = parse_flags(
-        args,
-        &mut [
-            ("records", &mut records),
-            ("seed", &mut seed),
-            ("repeats", &mut repeats),
-            ("jobs", &mut jobs),
-            ("out", &mut out),
-            ("baseline", &mut baseline),
-            ("label", &mut label),
-            ("check", &mut check),
-            ("threshold", &mut threshold),
-            ("scaling", &mut scaling),
-        ],
-        &mut [("check-scaling", &mut check_scaling)],
-    )?;
-    if !extra.is_empty() {
-        return Err(format!("bench takes no positional arguments: {extra:?}"));
-    }
-    let cfg = BenchConfig {
-        records: records
-            .parse()
-            .map_err(|_| "--records must be an integer".to_string())?,
-        seed: seed
-            .parse()
-            .map_err(|_| "--seed must be an integer".to_string())?,
-        repeats: repeats
-            .parse()
-            .map_err(|_| "--repeats must be an integer".to_string())?,
-        jobs: jobs
-            .parse()
-            .map_err(|_| "--jobs must be an integer".to_string())?,
-    };
-    let threshold: f64 = threshold
-        .parse()
-        .map_err(|_| "--threshold must be a number".to_string())?;
-    // `--scaling jobs=1..8` (or `1..8`, or just `8`): sweep worker counts
-    // 1..=N. The sweep always starts at 1 because every point's speedup is
-    // reported relative to the sweep's own jobs=1 run.
-    let max_scaling_jobs: Option<usize> = if scaling.is_empty() {
-        if check_scaling {
-            return Err("--check-scaling needs --scaling (e.g. --scaling jobs=1..4)".to_string());
-        }
-        None
-    } else {
-        let spec = scaling.strip_prefix("jobs=").unwrap_or(&scaling);
-        let top = match spec.split_once("..") {
-            Some(("1", hi)) => hi.parse::<usize>().ok(),
-            Some(_) => None,
-            None => spec.parse::<usize>().ok(),
-        };
-        match top {
-            Some(n) if (1..=64).contains(&n) => Some(n),
-            _ => {
-                return Err(format!(
-                "--scaling must be `jobs=1..N`, `1..N`, or `N` with N in 1..=64, got {scaling:?}"
-            ))
-            }
-        }
-    };
-
-    let read_report = |path: &str| -> Result<BenchReport, String> {
-        let json = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))
-    };
-
-    let probe = alloc_count::snapshot;
-    let mut report = perf::run_bench(&cfg, Some(&probe));
-    if let Some(max_jobs) = max_scaling_jobs {
-        let texts = perf::workload(&cfg);
-        report.scaling = Some(perf::run_scaling(&cfg, &texts, max_jobs));
-    }
-    if !baseline.is_empty() {
-        let base = read_report(&baseline)?;
-        report.baseline = Some(BaselineSummary {
-            label: label.clone(),
-            serial_notes_per_sec: base.serial.notes_per_sec,
-            parallel_notes_per_sec: base.parallel.notes_per_sec,
-            allocs_per_note: base.allocations.as_ref().map(|a| a.allocs_per_note),
-        });
-    }
-
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    if out == "-" {
-        outln!("{json}");
-    } else {
-        fs::write(&out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("cmr: wrote bench report to {out}");
-    }
-    eprintln!(
-        "cmr: serial {:.1} notes/sec ({:.0} ns/field, cache hit {:.1}%); \
-         parallel x{} {:.1} notes/sec",
-        report.serial.notes_per_sec,
-        report.serial.ns_per_field,
-        report.serial.cache_hit_rate * 100.0,
-        report.config.jobs,
-        report.parallel.notes_per_sec,
-    );
-    if let Some(a) = &report.allocations {
-        eprintln!(
-            "cmr: {:.0} allocations/note, {:.0} bytes/note (warm)",
-            a.allocs_per_note, a.bytes_per_note
-        );
-    }
-    if let Some(j) = &report.journaled {
-        let overhead = if report.parallel.notes_per_sec > 0.0 {
-            (1.0 - j.notes_per_sec / report.parallel.notes_per_sec) * 100.0
-        } else {
-            0.0
-        };
-        eprintln!(
-            "cmr: journaled x{} {:.1} notes/sec ({overhead:+.1}% vs plain parallel)",
-            report.config.jobs, j.notes_per_sec
-        );
-    }
-    if let Some(c) = &report.journaled_compacting {
-        let reference = report
-            .journaled
-            .as_ref()
-            .map(|j| j.notes_per_sec)
-            .unwrap_or(0.0);
-        let overhead = if reference > 0.0 {
-            (1.0 - c.notes_per_sec / reference) * 100.0
-        } else {
-            0.0
-        };
-        eprintln!(
-            "cmr: journaled+compact x{} {:.1} notes/sec ({overhead:+.1}% vs journaled, \
-             snapshot every {} records)",
-            report.config.jobs,
-            c.notes_per_sec,
-            perf::COMPACT_EVERY
-        );
-    }
-    if let Some(s) = &report.scaling {
-        eprintln!(
-            "cmr: scaling sweep on {} CPU(s), serial reference {:.1} notes/sec",
-            s.cpus, s.serial_notes_per_sec
-        );
-        eprintln!(
-            "cmr: {:>4} {:>11} {:>8} {:>9} {:>11} {:>8} {:>9} {:>12} {:>9}",
-            "jobs",
-            "notes/sec",
-            "speedup",
-            "l1-hits",
-            "shared-hits",
-            "misses",
-            "contend",
-            "chan-wait-ns",
-            "reorder"
-        );
-        for p in &s.points {
-            eprintln!(
-                "cmr: {:>4} {:>11.1} {:>7.2}x {:>9} {:>11} {:>8} {:>9} {:>12} {:>9}",
-                p.jobs,
-                p.notes_per_sec,
-                p.speedup_vs_jobs1,
-                p.l1_cache_hits,
-                p.shared_cache_hits,
-                p.cache_misses,
-                p.shard_contention,
-                p.channel_wait_nanos,
-                p.reorder_high_water
-            );
-        }
-        if check_scaling {
-            match perf::check_scaling(s, 0.95) {
-                Ok(notice) => eprintln!("cmr: scaling gate: {notice}"),
-                Err(msg) => {
-                    eprintln!("cmr: SCALING REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
-    if !check.is_empty() {
-        let base = read_report(&check)?;
-        if let Err(msg) = perf::check_regression(&report, &base, threshold) {
-            eprintln!("cmr: PERF REGRESSION vs {check}: {msg}");
-            std::process::exit(1);
-        }
-        // The durability gate compares within this run (journaled vs plain
-        // parallel), so it is immune to machine-to-machine variance.
-        if let Err(msg) = perf::check_journal_overhead(&report, 0.10) {
-            eprintln!("cmr: JOURNAL OVERHEAD REGRESSION: {msg}");
-            std::process::exit(1);
-        }
-        // Same within-run principle for compaction: the compacting leg is
-        // priced against the journaled leg of this very report.
-        if let Err(msg) = perf::check_compaction_overhead(&report, 0.10) {
-            eprintln!("cmr: COMPACTION OVERHEAD REGRESSION: {msg}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "cmr: perf check vs {check} passed (threshold {threshold}, journal overhead <10%, \
-             compaction overhead <10%)"
-        );
-    }
-    Ok(())
 }
 
 /// `cmr lint`: run the static analyzer over the committed rule assets,

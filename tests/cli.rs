@@ -259,6 +259,85 @@ fn ndjson_streaming_pipes_generate_into_extract() {
     );
 }
 
+/// Runs `cmr extract --jobs N --metrics FILE` over `notes` and returns the
+/// parsed metrics document.
+fn extract_metrics(notes: &[PathBuf], jobs: &str, metrics: &std::path::Path) -> serde::Value {
+    let out = cmr()
+        .arg("extract")
+        .args(["--jobs", jobs, "--metrics"])
+        .arg(metrics)
+        .args(notes)
+        .output()
+        .expect("run cmr extract --metrics");
+    assert!(
+        out.status.success(),
+        "extract --jobs {jobs} --metrics failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(metrics).expect("metrics file written");
+    serde_json::parse_value_str(&json).expect("metrics file is valid JSON")
+}
+
+/// The integer at a dotted path of a metrics document.
+fn int_at(doc: &serde::Value, path: &str) -> i64 {
+    let mut v = doc;
+    for key in path.split('.') {
+        v = v
+            .get(key)
+            .unwrap_or_else(|| panic!("metrics have no `{path}`"));
+    }
+    match v {
+        serde::Value::Int(n) => *n,
+        other => panic!("`{path}` is not an integer: {other:?}"),
+    }
+}
+
+/// The `--metrics` keys the benchmark harness reads for its engine
+/// counters must stay present and consistent.
+#[test]
+fn extract_metrics_file_carries_the_engine_counters() {
+    let dir = scratch("metrics");
+    let notes = generate_notes(&dir, 8);
+    let doc = extract_metrics(&notes, "2", &dir.join("metrics.json"));
+
+    assert_eq!(int_at(&doc, "jobs"), 2);
+    assert!(int_at(&doc, "wall_nanos") > 0);
+    assert!(int_at(&doc, "channel_wait_nanos") >= 0);
+    assert!(int_at(&doc, "reorder_buffer_high_water") >= 0);
+    let hits = int_at(&doc, "parse_cache.hits");
+    let shared_hits = int_at(&doc, "parse_cache.shared_hits");
+    assert!(int_at(&doc, "parse_cache.misses") > 0);
+    assert!(
+        shared_hits <= hits,
+        "shared hits {shared_hits} must be a subset of total hits {hits}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every note is parsed the same way whatever the worker count, so the
+/// total parse-cache traffic (hits + misses) cannot depend on `--jobs`;
+/// only the split between hits and misses may.
+#[test]
+fn parse_cache_lookups_are_equal_for_any_jobs() {
+    let dir = scratch("lookups");
+    let notes = generate_notes(&dir, 12);
+    let lookups: Vec<i64> = ["1", "2", "3"]
+        .iter()
+        .map(|jobs| {
+            let doc = extract_metrics(&notes, jobs, &dir.join(format!("metrics-{jobs}.json")));
+            int_at(&doc, "parse_cache.hits") + int_at(&doc, "parse_cache.misses")
+        })
+        .collect();
+    assert!(lookups[0] > 0, "no parse-cache lookups at all");
+    assert!(
+        lookups.iter().all(|&n| n == lookups[0]),
+        "lookups at jobs 1, 2, 3 differ: {lookups:?}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn lint_passes_deny_warnings_and_formats_agree() {
     // The committed assets must be clean at the warning threshold.
