@@ -1,5 +1,6 @@
 //! Interner and tagger hot loops: the per-token costs that the allocation
-//! overhaul moved off the parse path (lowercase `String`s → `Sym` ids).
+//! overhaul moved off the parse path (lowercase `String`s → `Sym` ids), and
+//! tagging with and without the tagger's per-word memo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,10 +31,14 @@ fn bench_interner(c: &mut Criterion) {
     g.finish();
 }
 
+/// `tagger_warm` reuses one tagger, so after the first iteration every word
+/// is a memo hit (a worker's steady state); `tagger_cold` tags with a fresh
+/// tagger per iteration, so every word is analyzed from scratch (the first
+/// sentence a worker sees).
 fn bench_tagger(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tagger");
-    let tagger = cmr_postag::PosTagger::new();
     let tokens = cmr_text::tokenize(SENTENCE);
+    let mut g = c.benchmark_group("tagger_warm");
+    let tagger = cmr_postag::PosTagger::new();
     g.bench_function("tag_18_words_borrowed", |b| {
         b.iter(|| black_box(tagger.tag(black_box(&tokens))))
     });
@@ -42,6 +47,19 @@ fn bench_tagger(c: &mut Criterion) {
     });
     g.bench_function("tokenize_and_tag", |b| {
         b.iter(|| black_box(tagger.tag_owned(cmr_text::tokenize(black_box(SENTENCE)))))
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("tagger_cold");
+    g.bench_function("tag_18_words_borrowed", |b| {
+        b.iter(|| black_box(cmr_postag::PosTagger::new().tag(black_box(&tokens))))
+    });
+    g.bench_function("tokenize_and_tag", |b| {
+        b.iter(|| {
+            black_box(
+                cmr_postag::PosTagger::new().tag_owned(cmr_text::tokenize(black_box(SENTENCE))),
+            )
+        })
     });
     g.finish();
 }

@@ -47,7 +47,10 @@ pub use degradation::{
 };
 pub use error::CmrError;
 pub use negation::{negation_breakers, negation_triggers, NegationDetector};
-pub use numeric::{pattern_fillers, AssociationMethod, MethodUsed, NumericExtractor, NumericHit};
+pub use numeric::{
+    find_mentions, pattern_fillers, AssociationMethod, Mention, MethodUsed, NumericExtractor,
+    NumericHit,
+};
 pub use pipeline::{ExtractTiming, ExtractedRecord, Pipeline};
 pub use salvage::salvage_fold;
 pub use schema::Schema;

@@ -98,6 +98,10 @@ pub struct NumericExtractor {
     tagger: PosTagger,
     weights: LinkWeights,
     method: AssociationMethod,
+    /// [`PATTERN_FILLERS`], interned.
+    fillers: Vec<Sym>,
+    /// `"old"`, interned (the `{N} years old` pattern).
+    old: Sym,
 }
 
 impl Default for NumericExtractor {
@@ -120,6 +124,8 @@ impl NumericExtractor {
             tagger: PosTagger::new(),
             weights: LinkWeights::default(),
             method,
+            fillers: PATTERN_FILLERS.iter().map(|f| intern(f)).collect(),
+            old: intern("old"),
         }
     }
 
@@ -194,12 +200,7 @@ impl NumericExtractor {
         let mut sentences_done = 0usize;
         for section in &record.sections {
             let key = section.key();
-            let routed: Vec<&FeatureSpec> = specs
-                .iter()
-                .filter(|s| {
-                    s.sections.is_empty() || s.sections.iter().any(|x| x.to_lowercase() == key)
-                })
-                .collect();
+            let routed: Vec<&FeatureSpec> = specs.iter().filter(|s| s.routes_to(&key)).collect();
             if routed.is_empty() {
                 continue;
             }
@@ -250,7 +251,7 @@ impl NumericExtractor {
             if !spec.year_old_pattern {
                 continue;
             }
-            if let Some(num) = year_old_number(&tagged, &numbers) {
+            if let Some(num) = year_old_number(&tagged, &numbers, self.old) {
                 if spec.accepts(&num.value) {
                     hits.push(NumericHit {
                         field: spec.name.clone(),
@@ -277,7 +278,14 @@ impl NumericExtractor {
                     Ok(a) => a,
                     Err(failure) => {
                         failures.record(failure.into());
-                        associate_pattern(&tagged, &mentions, &numbers, specs, &used_numbers)
+                        associate_pattern(
+                            &tagged,
+                            &mentions,
+                            &numbers,
+                            specs,
+                            &used_numbers,
+                            &self.fillers,
+                        )
                     }
                 }
             }
@@ -287,9 +295,14 @@ impl NumericExtractor {
                     failures.record(failure.into());
                     Vec::new()
                 }),
-            AssociationMethod::PatternOnly => {
-                associate_pattern(&tagged, &mentions, &numbers, specs, &used_numbers)
-            }
+            AssociationMethod::PatternOnly => associate_pattern(
+                &tagged,
+                &mentions,
+                &numbers,
+                specs,
+                &used_numbers,
+                &self.fillers,
+            ),
             AssociationMethod::Proximity => {
                 associate_proximity(&mentions, &numbers, specs, &used_numbers)
             }
@@ -357,32 +370,26 @@ impl NumericExtractor {
 }
 
 /// A feature-keyword mention in a token stream.
-#[derive(Debug, Clone)]
-struct Mention {
-    spec: usize,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Mention {
+    /// Index of the mentioned feature in the spec slice searched.
+    pub spec: usize,
     /// Head (= last) token of the phrase, used as the graph node.
-    head_token: usize,
+    pub head_token: usize,
 }
 
-/// Finds keyword mentions; longest phrase wins at each position.
-fn find_mentions(tagged: &[TaggedToken], specs: &[&FeatureSpec]) -> Vec<Mention> {
-    // Pre-split each spec's phrases into interned word lists, so the scan
-    // below compares symbol ids instead of allocating lowercase strings.
-    let phrase_sets: Vec<Vec<Vec<Sym>>> = specs
-        .iter()
-        .map(|s| {
-            s.matching_phrases()
-                .iter()
-                .map(|p| p.split_whitespace().map(intern).collect())
-                .collect()
-        })
-        .collect();
+/// Finds the feature-keyword mentions of `specs` in a tagged sentence, left
+/// to right: a token matches a phrase word by its lower-cased form or its
+/// lemma, and the longest phrase wins at each position (the earlier spec on
+/// a tie). The phrases are each spec's compiled
+/// [`FeatureSpec::matching_phrases`].
+pub fn find_mentions(tagged: &[TaggedToken], specs: &[&FeatureSpec]) -> Vec<Mention> {
     let mut mentions = Vec::new();
     let mut i = 0;
     while i < tagged.len() {
         let mut best: Option<(usize, usize)> = None; // (spec, len)
-        for (si, phrases) in phrase_sets.iter().enumerate() {
-            for words in phrases {
+        for (si, spec) in specs.iter().enumerate() {
+            for words in spec.phrase_words() {
                 if words.is_empty() || i + words.len() > tagged.len() {
                     continue;
                 }
@@ -412,6 +419,7 @@ fn find_mentions(tagged: &[TaggedToken], specs: &[&FeatureSpec]) -> Vec<Mention>
 fn year_old_number<'a>(
     tagged: &[TaggedToken],
     numbers: &'a [NumberAnnotation],
+    old: Sym,
 ) -> Option<&'a NumberAnnotation> {
     for n in numbers {
         let after = n.last_token + 1;
@@ -424,8 +432,8 @@ fn year_old_number<'a>(
         }
         // "50 years old".
         if tagged.len() > after + 1
+            && tagged[after + 1].lower == old
             && tagged[after].lower().starts_with("year")
-            && tagged[after + 1].lower() == "old"
         {
             return Some(n);
         }
@@ -434,13 +442,15 @@ fn year_old_number<'a>(
 }
 
 /// Pattern fallback: the paper's `CONCEPT is/of/,/: NUMBER` shapes, with a
-/// small filler vocabulary and bounded skip.
+/// small filler vocabulary (`filler_words`, the interned [`PATTERN_FILLERS`])
+/// and bounded skip.
 fn associate_pattern(
     tagged: &[TaggedToken],
     mentions: &[Mention],
     numbers: &[NumberAnnotation],
     specs: &[&FeatureSpec],
     used_numbers: &[usize],
+    filler_words: &[Sym],
 ) -> Vec<(usize, NumberValue, MethodUsed)> {
     let mut out: Vec<(usize, NumberValue, MethodUsed)> = Vec::new();
     let mut num_done: Vec<usize> = used_numbers.to_vec();
@@ -461,8 +471,7 @@ fn associate_pattern(
                 }
                 break;
             }
-            let t = &tagged[pos];
-            if PATTERN_FILLERS.contains(&t.lower()) {
+            if filler_words.contains(&tagged[pos].lower) {
                 fillers += 1;
                 pos += 1;
             } else {

@@ -363,7 +363,7 @@ fn join_bodies(record: &Record, sections: Option<&[String]>) -> String {
             None => true,
             Some(filter) => {
                 let key = section.key();
-                filter.iter().any(|x| x.to_lowercase() == key)
+                filter.iter().any(|x| crate::spec::section_named(x, &key))
             }
         };
         if keep {

@@ -33,12 +33,8 @@ pub(crate) fn salvage_numeric(text: &str, spec: &FeatureSpec) -> Option<NumberVa
         return salvage_year_old(&raw, spec);
     }
     let folded = fold(&raw);
-    for phrase in spec.matching_phrases() {
-        let needle: Vec<char> = fold_str(&phrase);
-        if needle.is_empty() {
-            continue;
-        }
-        for end in find_occurrences(&folded, &needle) {
+    for needle in spec.salvage_needles() {
+        for end in find_occurrences(&folded, needle) {
             if let Some(value) = scan_number(&raw, end, spec) {
                 return Some(value);
             }
@@ -87,7 +83,7 @@ fn fold(raw: &[char]) -> Vec<Folded> {
 }
 
 /// Folds a clean phrase with the same rules (index information discarded).
-fn fold_str(phrase: &str) -> Vec<char> {
+pub(crate) fn fold_str(phrase: &str) -> Vec<char> {
     let raw: Vec<char> = phrase.chars().collect();
     fold(&raw).iter().map(|f| f.ch).collect()
 }
@@ -325,6 +321,64 @@ mod tests {
         );
         // "age 10" in GYN history must NOT be salvaged as the patient age.
         assert_eq!(salvage_numeric("Menarche at age 10.", &age()), None);
+    }
+
+    /// The scan before specs compiled their needles: each call re-expands
+    /// and re-folds the phrases.
+    fn salvage_per_call(text: &str, spec: &FeatureSpec) -> Option<NumberValue> {
+        let raw: Vec<char> = text.chars().collect();
+        if spec.year_old_pattern {
+            return salvage_year_old(&raw, spec);
+        }
+        let folded = fold(&raw);
+        for phrase in spec.matching_phrases() {
+            let needle = fold_str(&phrase);
+            if needle.is_empty() {
+                continue;
+            }
+            for end in find_occurrences(&folded, &needle) {
+                if let Some(value) = scan_number(&raw, end, spec) {
+                    return Some(value);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn compiled_needles_salvage_like_per_call_folding() {
+        let schema = crate::Schema::paper();
+        let noise = cmr_corpus::NoiseInjector::from_level(0.3, 3);
+        // Every phrase of every spec next to a value of each kind, and the
+        // lines of corrupted notes.
+        let mut texts: Vec<String> = Vec::new();
+        for spec in &schema.numeric {
+            for phrase in spec.matching_phrases() {
+                for value in ["84", "98.6", "144/90"] {
+                    let text = format!("{phrase} is {value}");
+                    texts.push(noise.corrupt(&text));
+                    texts.push(text);
+                }
+            }
+        }
+        let corpus = cmr_corpus::CorpusBuilder::new()
+            .records(20)
+            .seed(3)
+            .style_variation(1.0)
+            .build();
+        for rec in &corpus.records {
+            texts.extend(noise.corrupt(&rec.text).lines().map(str::to_string));
+        }
+        for text in &texts {
+            for spec in &schema.numeric {
+                assert_eq!(
+                    salvage_numeric(text, spec),
+                    salvage_per_call(text, spec),
+                    "{} in {text:?}",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Field specifications: what to extract, from where, in what form.
 
 use cmr_lexicon::{expand_abbreviation, phrase_variants};
+use cmr_text::{intern, Sym};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Expected value shape of a numeric attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,14 +21,15 @@ pub enum ValueKind {
 /// §3.1: feature identification uses "an exact text search of the feature
 /// name … target synonyms and inflected (sic: "infected") variants of the feature and its
 /// synonyms". [`FeatureSpec::matching_phrases`] materializes exactly that
-/// expansion.
+/// expansion; each spec compiles it once, on first use, for the extractors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureSpec {
     /// Canonical attribute name (`"blood_pressure"`).
     pub name: String,
     /// Keyword phrases: the feature name and its manually specified
-    /// synonyms, lower-case.
-    pub keywords: Vec<String>,
+    /// synonyms, lower-case. Private so the compiled matcher, derived from
+    /// them, cannot go stale.
+    keywords: Vec<String>,
     /// Sections this attribute is dictated in (case-insensitive header
     /// names). Empty = search the whole record.
     pub sections: Vec<String>,
@@ -36,6 +39,20 @@ pub struct FeatureSpec {
     pub range: Option<(f64, f64)>,
     /// Additionally match the `"{N}-year-old"` dictation pattern (ages).
     pub year_old_pattern: bool,
+    /// [`FeatureSpec::matching_phrases`] compiled for the extractors; built
+    /// on first use, so deserialized specs compile lazily too.
+    #[serde(skip)]
+    matcher: OnceLock<Matcher>,
+}
+
+/// A spec's phrase expansion in the two forms the extractors scan for.
+#[derive(Debug, Clone)]
+struct Matcher {
+    /// Each matching phrase as interned lower-case words (token matching).
+    phrases: Vec<Vec<Sym>>,
+    /// Each matching phrase under the salvage OCR folding, empty
+    /// foldings dropped (raw-text salvage).
+    needles: Vec<Vec<char>>,
 }
 
 impl FeatureSpec {
@@ -48,7 +65,13 @@ impl FeatureSpec {
             kind,
             range: None,
             year_old_pattern: false,
+            matcher: OnceLock::new(),
         }
+    }
+
+    /// Keyword phrases: the feature name and its synonyms, lower-case.
+    pub fn keywords(&self) -> &[String] {
+        &self.keywords
     }
 
     /// Sets the plausible value range.
@@ -66,6 +89,11 @@ impl FeatureSpec {
     /// All surface phrases that identify this feature: every keyword, its
     /// inflected variants (head-word inflection for multi-word phrases) and
     /// abbreviation expansions. Lower-case, deduplicated.
+    ///
+    /// This is the single source of the expansion. The extractors do not
+    /// call it per sentence: each spec compiles it once, on first use, into
+    /// interned word lists for token matching and OCR-folded needles for
+    /// the salvage scan.
     pub fn matching_phrases(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         let mut push = |p: String| {
@@ -86,6 +114,41 @@ impl FeatureSpec {
             }
         }
         out
+    }
+
+    fn matcher(&self) -> &Matcher {
+        self.matcher.get_or_init(|| {
+            let phrases = self.matching_phrases();
+            Matcher {
+                phrases: phrases
+                    .iter()
+                    .map(|p| p.split_whitespace().map(intern).collect())
+                    .collect(),
+                needles: phrases
+                    .iter()
+                    .map(|p| crate::salvage::fold_str(p))
+                    .filter(|n| !n.is_empty())
+                    .collect(),
+            }
+        })
+    }
+
+    /// [`FeatureSpec::matching_phrases`] as interned word lists, in order.
+    pub(crate) fn phrase_words(&self) -> &[Vec<Sym>] {
+        &self.matcher().phrases
+    }
+
+    /// [`FeatureSpec::matching_phrases`] under the salvage OCR folding, in
+    /// order, empty foldings dropped.
+    pub(crate) fn salvage_needles(&self) -> &[Vec<char>] {
+        &self.matcher().needles
+    }
+
+    /// True when this spec searches the section whose
+    /// [`cmr_text::Section::key`] is `key`: it names no sections, or one of
+    /// them matches case-insensitively.
+    pub(crate) fn routes_to(&self, key: &str) -> bool {
+        self.sections.is_empty() || self.sections.iter().any(|x| section_named(x, key))
     }
 
     /// True when `value` fits this spec's kind and range.
@@ -109,6 +172,18 @@ impl FeatureSpec {
                 v >= lo && v <= hi
             }
         }
+    }
+}
+
+/// True when the spec header `name` names the section whose
+/// [`cmr_text::Section::key`] is `key`, i.e. `name.to_lowercase() == key`.
+/// ASCII names compare in place: `key` is lower-cased, so it holds no ASCII
+/// capital that the case-insensitive byte compare could wrongly accept.
+pub(crate) fn section_named(name: &str, key: &str) -> bool {
+    if name.is_ascii() {
+        name.eq_ignore_ascii_case(key)
+    } else {
+        name.to_lowercase() == key
     }
 }
 

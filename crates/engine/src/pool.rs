@@ -16,7 +16,10 @@
 //!   channel itself the bottleneck at small record costs.
 //! * **Backpressure** — both channels are bounded in chunks such that
 //!   buffered records stay O(queue depth), never O(corpus); a slow sink
-//!   stalls the workers and a slow feeder idles them.
+//!   stalls the workers and a slow feeder idles them. The feeder also
+//!   never runs more than the reorder ring's capacity ahead of the last
+//!   emitted record, so one slow record cannot let the other workers
+//!   overrun the ring.
 //! * **Determinism** — every input is tagged with its index; the consumer
 //!   parks out-of-order results in a fixed-capacity ring buffer indexed by
 //!   sequence number (no per-item allocation, no tree rebalancing) and
@@ -33,7 +36,7 @@
 //!   remaining queued records through `on_abort` without processing them,
 //!   so every fed index still produces exactly one output.
 
-use cmr_sync::TrackedMutex;
+use cmr_sync::{TrackedCondvar, TrackedMutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -117,14 +120,19 @@ where
     let in_rx = Arc::new(TrackedMutex::new("engine.pool_receiver", in_rx));
     let (out_tx, out_rx) = sync_channel::<Vec<(usize, Result<Out, E>)>>(out_bound);
 
-    // Upper bound on records in flight (fed but not yet emitted): every
-    // chunk buffered in either channel, one chunk in a blocked send on
-    // each side, one chunk per worker, and one being scattered by the
-    // consumer. The reorder ring is sized to that bound once, up front —
-    // a parked result can never land more than `ring_cap` ahead of the
-    // next emission.
+    // Records in flight (fed but not yet emitted) when every worker keeps
+    // pace: every chunk buffered in either channel, one chunk in a blocked
+    // send on each side, one chunk per worker, and one being scattered by
+    // the consumer. The reorder ring is sized to that once, up front. A
+    // slow record lets the other workers run ahead while the consumer
+    // keeps parking their results, so the feeder also waits until a chunk
+    // fits the window: a parked result never lands `ring_cap` or more
+    // ahead of the next emission.
     let ring_cap = ((in_bound + out_bound + cfg.jobs + 3) * max_chunk).next_power_of_two();
     let ring_mask = ring_cap - 1;
+    // The next index to emit, published by the consumer for the feeder.
+    let emitted = TrackedMutex::new("engine.pool_emitted", 0usize);
+    let emitted_cv = TrackedCondvar::new();
 
     let mut high_water = 0u64;
     std::thread::scope(|scope| {
@@ -137,6 +145,23 @@ where
         let stop_ref = &stop;
         let chunks_ref = &chunks_sent;
         let shutdown_ref = cfg.shutdown.as_deref();
+        let (emitted_ref, emitted_cv_ref) = (&emitted, &emitted_cv);
+        // Blocks until every index of `chunk` is within the ring window.
+        // The oldest unemitted index was fed before `chunk` (or `chunk`
+        // would fit), so the wait always ends.
+        let wait_for_window = move |chunk: &[(usize, In)]| {
+            let Some(&(last, _)) = chunk.last() else {
+                return;
+            };
+            let mut next = emitted_ref
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            while last >= *next + ring_cap {
+                next = emitted_cv_ref
+                    .wait(next)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+        };
         scope.spawn(move || {
             let mut chunk_target = 1usize;
             let mut chunk: Vec<(usize, In)> = Vec::with_capacity(chunk_target);
@@ -151,6 +176,7 @@ where
                     // Enacts `panic`/`delay`; error-shaped actions only log
                     // (there is no I/O at a dispatch boundary to poison).
                     let _ = cmr_failpoint::io_inject("pool::chunk_dispatch");
+                    wait_for_window(&chunk);
                     chunks_ref.fetch_add(1, Ordering::Relaxed);
                     if in_tx.send(std::mem::take(&mut chunk)).is_err() {
                         return;
@@ -163,6 +189,7 @@ where
             }
             if !chunk.is_empty() {
                 let _ = cmr_failpoint::io_inject("pool::chunk_dispatch");
+                wait_for_window(&chunk);
                 chunks_ref.fetch_add(1, Ordering::Relaxed);
                 let _ = in_tx.send(chunk);
             }
@@ -237,10 +264,17 @@ where
             }
             high_water = high_water.max(parked as u64);
             let _ = cmr_failpoint::io_inject("pool::reorder_flush");
+            let before = next_emit;
             while let Some(result) = ring[next_emit & ring_mask].take() {
                 parked -= 1;
                 sink(next_emit, result);
                 next_emit += 1;
+            }
+            if next_emit > before {
+                *emitted
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = next_emit;
+                emitted_cv.notify_one();
             }
         }
         debug_assert_eq!(parked, 0, "gap in emitted indices");
@@ -510,6 +544,41 @@ mod tests {
             "unexpected dispatch count {}",
             stats.chunks_dispatched
         );
+    }
+
+    #[test]
+    fn slow_record_cannot_let_workers_overrun_the_ring() {
+        // Record 0 stalls while the other worker races through the rest
+        // with per-record chunks (a 32-slot ring). Without the feeder's
+        // window the racing results overwrote ring slots (wrong records
+        // emitted in release builds, a deadlocked pool in debug builds).
+        let mut seen = Vec::new();
+        run_ordered(
+            0..1000,
+            PoolConfig {
+                jobs: 2,
+                queue_depth: 4,
+                fail_fast: false,
+                shutdown: None,
+                chunk: 1,
+            },
+            |_w| {
+                |i: usize, x: usize| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(100));
+                    }
+                    Ok::<usize, String>(x)
+                }
+            },
+            |m| m,
+            || "aborted".to_string(),
+            |idx, r| seen.push((idx, r)),
+        );
+        assert_eq!(seen.len(), 1000);
+        for (i, (idx, r)) in seen.iter().enumerate() {
+            assert_eq!(*idx, i);
+            assert_eq!(r, &Ok(i));
+        }
     }
 
     #[test]

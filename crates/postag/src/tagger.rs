@@ -11,6 +11,8 @@ use cmr_lexicon::{
     is_known_adjective, is_known_adverb, is_known_noun, is_known_verb, Lemmatizer, WordClass,
 };
 use cmr_text::{intern, intern_lower, word_value, Sym, Token, TokenKind};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// A token with its resolved tag and lemma.
 ///
@@ -48,7 +50,7 @@ pub fn num_sentinel() -> Sym {
 }
 
 /// Candidate analyses for one token before contextual resolution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Candidates {
     /// Fixed tag that context cannot change (numbers, punctuation).
     fixed: Option<Tag>,
@@ -77,6 +79,14 @@ impl Default for Candidates {
 
 /// The part-of-speech tagger.
 ///
+/// Tagging a word's candidates and lemmas is a fixed function of its
+/// lower-cased form (plus, for unknown words, whether it is capitalized
+/// mid-sentence), so the tagger memoizes both per word. The memo is per
+/// instance (`RefCell`, so a tagger is `!Sync`: each worker owns one) and
+/// only ever grows: it holds at most two analyses and three lemmas per
+/// distinct word the tagger has seen, so like the interner it is bounded by
+/// the vocabulary, not the corpus.
+///
 /// ```
 /// use cmr_postag::PosTagger;
 /// use cmr_text::tokenize;
@@ -86,13 +96,24 @@ impl Default for Candidates {
 /// let tags: Vec<&str> = tagged.iter().map(|t| t.tag.as_str()).collect();
 /// assert_eq!(tags, ["PRP", "VBZ", "NN", "NN", "PUNCT"]);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct PosTagger {
-    _private: (),
+    memo: RefCell<Memo>,
+}
+
+/// Per-word analysis memo (see [`PosTagger`]).
+#[derive(Debug, Default)]
+struct Memo {
+    /// Pass-one candidates of word tokens by (lower-cased form, proper),
+    /// where proper = capitalized and not sentence-initial.
+    candidates: HashMap<(Sym, bool), Candidates>,
+    /// Lemma by (lower-cased form, word class of the resolved tag).
+    lemmas: HashMap<(Sym, WordClass), Sym>,
 }
 
 impl PosTagger {
-    /// Creates a tagger (stateless; cheap).
+    /// Creates a tagger with an empty memo (cheap: nothing is analyzed
+    /// until a word is first tagged).
     pub fn new() -> Self {
         PosTagger::default()
     }
@@ -110,6 +131,7 @@ impl PosTagger {
     /// backward scan per token.
     pub fn tag_owned(&self, tokens: Vec<Token>) -> Vec<TaggedToken> {
         let lem = Lemmatizer::new();
+        let mut memo = self.memo.borrow_mut();
         let num = num_sentinel();
         let lowers: Vec<Sym> = tokens
             .iter()
@@ -121,7 +143,19 @@ impl PosTagger {
         let candidates: Vec<Candidates> = tokens
             .iter()
             .enumerate()
-            .map(|(i, t)| analyze(t, lowers[i], i == 0 || is_boundary(&tokens, i), &lem))
+            .map(|(i, t)| {
+                let proper = !is_boundary(&tokens, i) && t.text.starts_with(char::is_uppercase);
+                match fixed_tag(t.kind) {
+                    Some(tag) => Candidates {
+                        fixed: Some(tag),
+                        ..Candidates::default()
+                    },
+                    None => *memo
+                        .candidates
+                        .entry((lowers[i], proper))
+                        .or_insert_with(|| analyze(lowers[i], proper, &lem)),
+                }
+            })
             .collect();
 
         let mut out: Vec<TaggedToken> = Vec::with_capacity(tokens.len());
@@ -132,7 +166,7 @@ impl PosTagger {
             let cand = &candidates[i];
             let next_is_nounish = candidates.get(i + 1).map(looks_nounish).unwrap_or(false);
             let tag = resolve(cand, prev, next_is_nounish);
-            let lemma = lemma_for(lowers[i], tag, &lem);
+            let lemma = lemma_for(lowers[i], tag, &lem, &mut memo.lemmas);
             if !tag.is_adverb() {
                 prev = Some((tag, lowers[i]));
             }
@@ -163,29 +197,23 @@ fn looks_nounish(c: &Candidates) -> bool {
     c.noun.is_some() || c.adj.is_some() || c.default.is_noun()
 }
 
-/// Pass one: propose candidates for a single token. `lower_sym` is the
-/// token's interned lowercase form (resolved once here; every lexicon probe
-/// below shares the `&'static str`).
-fn analyze(token: &Token, lower_sym: Sym, sentence_initial: bool, lem: &Lemmatizer) -> Candidates {
-    let mut c = Candidates {
-        default: Tag::NN,
-        ..Candidates::default()
-    };
-    match token.kind {
-        TokenKind::Number(_) => {
-            c.fixed = Some(Tag::CD);
-            return c;
-        }
-        TokenKind::Punct => {
-            c.fixed = Some(Tag::PUNCT);
-            return c;
-        }
-        TokenKind::Symbol => {
-            c.fixed = Some(Tag::SYM);
-            return c;
-        }
-        TokenKind::Word => {}
+/// The tag of a non-word token, which context cannot change.
+fn fixed_tag(kind: TokenKind) -> Option<Tag> {
+    match kind {
+        TokenKind::Number(_) => Some(Tag::CD),
+        TokenKind::Punct => Some(Tag::PUNCT),
+        TokenKind::Symbol => Some(Tag::SYM),
+        TokenKind::Word => None,
     }
+}
+
+/// Pass one: propose candidates for a word token. `lower_sym` is its
+/// interned lowercase form (resolved once here; every lexicon probe below
+/// shares the `&'static str`); `proper` is whether it is capitalized and
+/// not sentence-initial. The result depends on nothing else, which is what
+/// lets [`PosTagger`] memoize it.
+fn analyze(lower_sym: Sym, proper: bool, lem: &Lemmatizer) -> Candidates {
+    let mut c = Candidates::default();
     let lower = lower_sym.as_str();
     if let Some(tags) = closed_class(lower) {
         c.closed = Some(tags);
@@ -240,7 +268,7 @@ fn analyze(token: &Token, lower_sym: Sym, sentence_initial: bool, lem: &Lemmatiz
 
     // Unknown word: suffix heuristics, then capitalization.
     if c.noun.is_none() && c.verb.is_none() && c.adj.is_none() && !c.adv {
-        c.default = guess_unknown(lower, &token.text, sentence_initial);
+        c.default = guess_unknown(lower, proper);
     }
     c
 }
@@ -267,8 +295,9 @@ fn verb_form_tag(surface: &str, lemma: &str) -> Tag {
 }
 
 /// Suffix + capitalization heuristics for out-of-lexicon words (mostly
-/// medical vocabulary, which is noun-heavy).
-fn guess_unknown(lower: &str, original: &str, sentence_initial: bool) -> Tag {
+/// medical vocabulary, which is noun-heavy). `proper`: capitalized and not
+/// sentence-initial.
+fn guess_unknown(lower: &str, proper: bool) -> Tag {
     const NOUN_SUFFIXES: &[&str] = &[
         "tion", "sion", "ment", "ness", "ity", "ance", "ence", "ism", "itis", "osis", "oma",
         "ectomy", "otomy", "ostomy", "plasty", "scopy", "gram", "graphy", "pathy", "emia", "uria",
@@ -281,12 +310,7 @@ fn guess_unknown(lower: &str, original: &str, sentence_initial: bool) -> Tag {
 
     // Mid-sentence capitalization marks a proper noun (drug and brand names
     // like "Lipitor") regardless of suffix shape.
-    let capitalized = original
-        .chars()
-        .next()
-        .map(char::is_uppercase)
-        .unwrap_or(false);
-    if capitalized && !sentence_initial {
+    if proper {
         return Tag::NNP;
     }
     if lower.ends_with("ly") && lower.len() > 4 {
@@ -487,10 +511,15 @@ fn resolve_closed(tags: &'static [Tag], prev: Option<(Tag, Sym)>, next_is_nounis
     first
 }
 
-/// Lemma under the chosen tag's class. Identity lemmas (the common case)
-/// reuse the already-interned lowercase symbol without touching the
-/// interner.
-fn lemma_for(lower: Sym, tag: Tag, lem: &Lemmatizer) -> Sym {
+/// Lemma under the chosen tag's class, memoized in `memo`. Identity lemmas
+/// (the common case) reuse the already-interned lowercase symbol without
+/// touching the interner.
+fn lemma_for(
+    lower: Sym,
+    tag: Tag,
+    lem: &Lemmatizer,
+    memo: &mut HashMap<(Sym, WordClass), Sym>,
+) -> Sym {
     let class = if tag.is_verb() {
         WordClass::Verb
     } else if tag.is_noun() {
@@ -500,13 +529,15 @@ fn lemma_for(lower: Sym, tag: Tag, lem: &Lemmatizer) -> Sym {
     } else {
         return lower;
     };
-    let s = lower.as_str();
-    let l = lem.lemma(s, class);
-    if l == s {
-        lower
-    } else {
-        intern(&l)
-    }
+    *memo.entry((lower, class)).or_insert_with(|| {
+        let s = lower.as_str();
+        let l = lem.lemma(s, class);
+        if l == s {
+            lower
+        } else {
+            intern(&l)
+        }
+    })
 }
 
 #[cfg(test)]
