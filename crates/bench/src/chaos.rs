@@ -64,7 +64,7 @@ pub struct ChaosLevelReport {
     pub term_f1: f64,
     /// Numeric fields resolved by the link-grammar tier.
     pub link_grammar_fields: u64,
-    /// Numeric fields resolved by the pattern tier.
+    /// Fields (numeric or term) resolved by the pattern tier.
     pub pattern_fields: u64,
     /// Fields (numeric or term) recovered by the salvage tier.
     pub salvage_fields: u64,
@@ -190,6 +190,7 @@ pub fn run_chaos_with(cfg: &ChaosConfig, interrupt: Option<&AtomicBool>) -> Chao
                 }
             }
         }
+        let m = out.metrics.methods;
         let d = out.metrics.degradation;
         levels.push(ChaosLevelReport {
             noise,
@@ -197,9 +198,9 @@ pub fn run_chaos_with(cfg: &ChaosConfig, interrupt: Option<&AtomicBool>) -> Chao
             numeric_recall: numeric.recall(),
             numeric_f1: numeric.f1(),
             term_f1: terms.pooled().f1(),
-            link_grammar_fields: d.link_grammar_fields,
-            pattern_fields: d.pattern_fields,
-            salvage_fields: d.salvage_fields,
+            link_grammar_fields: m.link_grammar,
+            pattern_fields: m.pattern + m.year_old + m.proximity,
+            salvage_fields: m.salvage,
             parse_failures: d.parse_failures,
             degraded_records: d.degraded_records,
             panics: out.metrics.errors.panics,

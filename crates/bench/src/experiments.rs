@@ -121,7 +121,11 @@ pub fn run_numeric_cfg(corpus: &Corpus, cfg: EngineConfig) -> NumericReport {
                 (None, None) => {}
             }
         }
-        for m in out.numeric_methods.values() {
+        for m in out
+            .numeric
+            .keys()
+            .filter_map(|field| out.methods.get(field))
+        {
             match m {
                 cmr_core::MethodUsed::LinkGrammar => link += 1,
                 cmr_core::MethodUsed::Pattern => pattern += 1,

@@ -1,83 +1,12 @@
-//! Degradation accounting: which extraction tier served which field, and
-//! what the parser failed on along the way.
+//! Link-parse failure accounting: what the parser failed on while a
+//! record was extracted.
 //!
-//! Every [`crate::ExtractedRecord`] carries a [`DegradationReport`] so
-//! batch drivers (and their operators) can see *how* a record was
-//! extracted, not just *what* was extracted: a record whose fields all
-//! came from the link grammar is trustworthy in a way one stitched
-//! together by the tier-3 salvage scanner is not.
+//! Every [`crate::ExtractedRecord`] carries its [`ParseFailureCounts`]
+//! next to its per-field `methods`, so batch drivers (and their
+//! operators) can see *how* a record was extracted, not just *what* was
+//! extracted.
 
 use serde::{Deserialize, Serialize};
-
-/// The extraction tier that produced a field value, ordered from most to
-/// least linguistically informed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Tier {
-    /// Tier 1: link-grammar graph distance over a full parse.
-    LinkGrammar,
-    /// Tier 2: linguistic patterns (including the `{N}-year-old` pattern
-    /// and the proximity ablation baseline).
-    Pattern,
-    /// Tier 3: the raw-text salvage scanner — keyword-plus-number scan
-    /// with OCR-confusion folding, no linguistic structure at all.
-    Salvage,
-}
-
-impl Tier {
-    /// Maps an association method to its tier.
-    pub fn of_method(method: crate::MethodUsed) -> Tier {
-        match method {
-            crate::MethodUsed::LinkGrammar => Tier::LinkGrammar,
-            crate::MethodUsed::Pattern
-            | crate::MethodUsed::YearOld
-            | crate::MethodUsed::Proximity => Tier::Pattern,
-            crate::MethodUsed::Salvage => Tier::Salvage,
-        }
-    }
-}
-
-/// Where one extracted field came from and how much to trust it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FieldProvenance {
-    /// The tier that produced the value.
-    pub tier: Tier,
-    /// A fixed per-mechanism confidence in `(0, 1]` — a prior on the
-    /// mechanism, not a calibrated posterior on the value.
-    pub confidence: f64,
-}
-
-impl FieldProvenance {
-    /// Provenance for a numeric hit by its association method.
-    pub fn of_method(method: crate::MethodUsed) -> FieldProvenance {
-        let confidence = match method {
-            crate::MethodUsed::LinkGrammar => 0.95,
-            crate::MethodUsed::YearOld => 0.9,
-            crate::MethodUsed::Pattern => 0.8,
-            crate::MethodUsed::Proximity => 0.6,
-            crate::MethodUsed::Salvage => 0.5,
-        };
-        FieldProvenance {
-            tier: Tier::of_method(method),
-            confidence,
-        }
-    }
-
-    /// Provenance for a term field extracted by the POS-pattern stage.
-    pub fn term_pattern() -> FieldProvenance {
-        FieldProvenance {
-            tier: Tier::Pattern,
-            confidence: 0.8,
-        }
-    }
-
-    /// Provenance for a term field recovered by whole-text salvage.
-    pub fn term_salvage() -> FieldProvenance {
-        FieldProvenance {
-            tier: Tier::Salvage,
-            confidence: 0.5,
-        }
-    }
-}
 
 /// Why a sentence failed to link-parse — the serializable mirror of
 /// [`cmr_linkgram::ParseFailure`].
@@ -134,7 +63,7 @@ impl ParseFailureCounts {
             ParseFailureKind::NoLinkage => self.no_linkage += 1,
             // Not a counter: a cancelled parse belongs to a record the
             // engine then fails wholesale as a timeout, so its (discarded)
-            // report must keep the serialized shape of successful records.
+            // counts must keep the serialized shape of successful records.
             ParseFailureKind::Cancelled => {}
         }
     }
@@ -145,103 +74,16 @@ impl ParseFailureCounts {
     }
 }
 
-/// How many extracted values each tier served.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierFieldCounts {
-    /// Values from the link-grammar tier.
-    pub link_grammar: u32,
-    /// Values from the pattern tier.
-    pub pattern: u32,
-    /// Values from the salvage tier.
-    pub salvage: u32,
-}
-
-impl TierFieldCounts {
-    /// Records one extracted value.
-    pub fn record(&mut self, tier: Tier) {
-        match tier {
-            Tier::LinkGrammar => self.link_grammar += 1,
-            Tier::Pattern => self.pattern += 1,
-            Tier::Salvage => self.salvage += 1,
-        }
-    }
-
-    /// Total values across tiers.
-    pub fn total(&self) -> u32 {
-        self.link_grammar + self.pattern + self.salvage
-    }
-}
-
-/// The degradation story of one extraction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DegradationReport {
-    /// Extracted values by serving tier.
-    pub tiers: TierFieldCounts,
-    /// Link-parse failures on sentences that carried an extraction
-    /// opportunity.
-    pub parse_failures: ParseFailureCounts,
-    /// Field names whose value came from the salvage tier.
-    pub salvaged_fields: Vec<String>,
-    /// True when any field needed the salvage tier. Parse failures alone do
-    /// not set this: fragments fail to link-parse even on pristine input,
-    /// and the pattern tier is the system's designed answer to them.
-    pub degraded: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MethodUsed;
-
-    #[test]
-    fn methods_map_to_tiers() {
-        assert_eq!(Tier::of_method(MethodUsed::LinkGrammar), Tier::LinkGrammar);
-        assert_eq!(Tier::of_method(MethodUsed::Pattern), Tier::Pattern);
-        assert_eq!(Tier::of_method(MethodUsed::YearOld), Tier::Pattern);
-        assert_eq!(Tier::of_method(MethodUsed::Proximity), Tier::Pattern);
-        assert_eq!(Tier::of_method(MethodUsed::Salvage), Tier::Salvage);
-    }
-
-    #[test]
-    fn confidence_is_monotone_in_tier_quality() {
-        let lg = FieldProvenance::of_method(MethodUsed::LinkGrammar).confidence;
-        let pat = FieldProvenance::of_method(MethodUsed::Pattern).confidence;
-        let sal = FieldProvenance::of_method(MethodUsed::Salvage).confidence;
-        assert!(lg > pat && pat > sal);
-    }
 
     #[test]
     fn counts_tally() {
-        let mut tiers = TierFieldCounts::default();
-        tiers.record(Tier::LinkGrammar);
-        tiers.record(Tier::Salvage);
-        tiers.record(Tier::Salvage);
-        assert_eq!(tiers.total(), 3);
-        assert_eq!(tiers.salvage, 2);
-
         let mut failures = ParseFailureCounts::default();
         failures.record(ParseFailureKind::NoDisjuncts);
         failures.record(ParseFailureKind::TooLong);
+        failures.record(ParseFailureKind::Cancelled);
         assert_eq!(failures.total(), 2);
-    }
-
-    #[test]
-    fn report_roundtrips_through_json() {
-        let report = DegradationReport {
-            tiers: TierFieldCounts {
-                link_grammar: 4,
-                pattern: 2,
-                salvage: 1,
-            },
-            parse_failures: ParseFailureCounts {
-                no_disjuncts: 3,
-                ..ParseFailureCounts::default()
-            },
-            salvaged_fields: vec!["pulse".to_string()],
-            degraded: true,
-        };
-        let json = serde_json::to_string(&report).expect("serializes");
-        let back: DegradationReport = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, report);
     }
 }

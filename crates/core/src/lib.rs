@@ -42,16 +42,14 @@ mod terms;
 
 pub use budget::{BudgetExceeded, ExtractBudget};
 pub use categorical::{CategoricalExtractor, FeatureExtractor, FeatureOptions};
-pub use degradation::{
-    DegradationReport, FieldProvenance, ParseFailureCounts, ParseFailureKind, Tier, TierFieldCounts,
-};
+pub use degradation::{ParseFailureCounts, ParseFailureKind};
 pub use error::CmrError;
 pub use negation::{negation_breakers, negation_triggers, NegationDetector};
 pub use numeric::{
     find_mentions, pattern_fillers, AssociationMethod, Mention, MethodUsed, NumericExtractor,
     NumericHit,
 };
-pub use pipeline::{ExtractTiming, ExtractedRecord, Pipeline};
+pub use pipeline::{ExtractedRecord, Pipeline};
 pub use salvage::salvage_fold;
 pub use schema::Schema;
 // Re-exported so engine-style pools can share one parse cache without a

@@ -45,7 +45,7 @@ pub enum MethodUsed {
     YearOld,
     /// Token proximity (ablation only).
     Proximity,
-    /// Tier-3 raw-text salvage scan (see [`crate::DegradationReport`]);
+    /// Tier-3 raw-text salvage scan (see [`crate::ExtractedRecord::methods`]);
     /// never produced by the extractor itself, only by the
     /// [`crate::Pipeline`] salvage stage.
     Salvage,

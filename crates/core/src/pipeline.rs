@@ -6,7 +6,7 @@
 //! and the extractors of this crate; the output is a structured record
 //! (serde-serializable, standing in for the paper's Access database).
 
-use crate::degradation::{DegradationReport, FieldProvenance, Tier};
+use crate::degradation::ParseFailureCounts;
 use crate::numeric::{AssociationMethod, MethodUsed, NumericExtractor, NumericHit};
 use crate::schema::Schema;
 use crate::terms::MedicalTermExtractor;
@@ -23,8 +23,10 @@ pub struct ExtractedRecord {
     pub patient_id: Option<String>,
     /// Numeric attributes by name.
     pub numeric: BTreeMap<String, NumberValue>,
-    /// How each numeric attribute was associated (same keys as `numeric`).
-    pub numeric_methods: BTreeMap<String, crate::numeric::MethodUsed>,
+    /// How each field was extracted: one entry per numeric attribute (the
+    /// same keys as `numeric`), plus one per term field that produced a
+    /// term, as [`MethodUsed::Pattern`] or [`MethodUsed::Salvage`].
+    pub methods: BTreeMap<String, MethodUsed>,
     /// Predefined past-medical-history terms (concept preferred names).
     pub predefined_medical: Vec<String>,
     /// Other past-medical-history terms.
@@ -33,12 +35,10 @@ pub struct ExtractedRecord {
     pub predefined_surgical: Vec<String>,
     /// Other past-surgical-history terms.
     pub other_surgical: Vec<String>,
-    /// Which tier served each field (numeric attributes by name, term
-    /// fields by field name) and with what confidence.
-    pub provenance: BTreeMap<String, FieldProvenance>,
-    /// The degradation story of this extraction: per-tier counts,
-    /// link-parse failures, salvage usage.
-    pub degradation: DegradationReport,
+    /// Link-parse failures on sentences that carried an extraction
+    /// opportunity. Fragments fail to link-parse even on pristine input,
+    /// so failures alone do not make a record degraded.
+    pub parse_failures: ParseFailureCounts,
 }
 
 impl ExtractedRecord {
@@ -46,20 +46,12 @@ impl ExtractedRecord {
     pub fn numeric(&self, name: &str) -> Option<NumberValue> {
         self.numeric.get(name).copied()
     }
-}
 
-/// Per-stage wall time of one instrumented extraction (see
-/// [`Pipeline::extract_instrumented`]). Link-parse time is a subset of
-/// `numeric_nanos` and is reported separately through
-/// [`Pipeline::parser_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExtractTiming {
-    /// Wall time in the numeric extractor (tagging, number annotation,
-    /// link parsing, association).
-    pub numeric_nanos: u64,
-    /// Wall time in the medical-term extractor (POS patterns,
-    /// normalization, ontology lookup).
-    pub terms_nanos: u64,
+    /// True when any field needed the salvage tier. Parse failures alone
+    /// do not count: the pattern tier is the designed answer to them.
+    pub fn degraded(&self) -> bool {
+        self.methods.values().any(|&m| m == MethodUsed::Salvage)
+    }
 }
 
 /// The extraction pipeline (numeric + medical terms; categorical fields
@@ -169,9 +161,8 @@ impl Pipeline {
     /// The record is parsed exactly once per extraction — section routing
     /// for numeric attributes and for term sections shares this parse.
     pub fn extract_parsed(&self, record: &Record) -> ExtractedRecord {
-        self.extract_instrumented(record, &crate::ExtractBudget::NONE)
+        self.extract_budgeted(record, &crate::ExtractBudget::NONE)
             .expect("unlimited budget never trips")
-            .0
     }
 
     /// Like [`Pipeline::extract_parsed`], but enforces a per-record
@@ -183,32 +174,14 @@ impl Pipeline {
         record: &Record,
         budget: &crate::ExtractBudget,
     ) -> Result<ExtractedRecord, crate::BudgetExceeded> {
-        self.extract_instrumented(record, budget)
-            .map(|(out, _)| out)
-    }
-
-    /// Budgeted extraction that also reports per-stage wall time, so batch
-    /// drivers (see `cmr-engine`) can fill stage histograms without timing
-    /// the pipeline from outside.
-    pub fn extract_instrumented(
-        &self,
-        record: &Record,
-        budget: &crate::ExtractBudget,
-    ) -> Result<(ExtractedRecord, ExtractTiming), crate::BudgetExceeded> {
-        let mut timing = ExtractTiming::default();
+        let (hits, parse_failures) =
+            self.numeric
+                .extract_counted(record, &self.schema.numeric, budget)?;
         let mut out = ExtractedRecord {
             patient_id: record.patient_id.clone(),
+            parse_failures,
             ..ExtractedRecord::default()
         };
-
-        // Numeric attributes.
-        let numeric_start = std::time::Instant::now();
-        let numeric_hits = self
-            .numeric
-            .extract_counted(record, &self.schema.numeric, budget);
-        timing.numeric_nanos = numeric_start.elapsed().as_nanos() as u64;
-        let (hits, parse_failures) = numeric_hits?;
-        out.degradation.parse_failures = parse_failures;
         for NumericHit {
             field,
             value,
@@ -216,13 +189,8 @@ impl Pipeline {
         } in hits
         {
             out.numeric.insert(field.clone(), value);
-            out.provenance
-                .insert(field.clone(), FieldProvenance::of_method(method));
-            out.degradation.tiers.record(Tier::of_method(method));
-            out.numeric_methods.insert(field, method);
+            out.methods.insert(field, method);
         }
-
-        let terms_start = std::time::Instant::now();
 
         // Medical-term attributes. Term extraction has no step notion, but
         // the deadline still applies between term fields.
@@ -244,38 +212,19 @@ impl Pipeline {
                 _ => continue,
             };
             let mut any_section_present = false;
-            let mut extracted = 0u32;
+            let mut extracted = false;
             for section_name in &term_field.sections {
                 let Some(section) = record.section(section_name) else {
                     continue;
                 };
                 any_section_present = true;
-                let (pre, other) = self
+                let partitioned = self
                     .terms
                     .extract_partitioned(&section.body, predefined_set);
-                for hit in pre {
-                    let name = hit.concept.preferred.to_string();
-                    if !slots.0.contains(&name) {
-                        slots.0.push(name);
-                        extracted += 1;
-                    }
-                }
-                for hit in other {
-                    let name = hit.concept.preferred.to_string();
-                    if !slots.1.contains(&name) {
-                        slots.1.push(name);
-                        extracted += 1;
-                    }
-                }
+                extracted |= push_new_terms(partitioned, slots.0, slots.1);
             }
-            if any_section_present {
-                for _ in 0..extracted {
-                    out.degradation.tiers.record(Tier::Pattern);
-                }
-                if extracted > 0 {
-                    out.provenance
-                        .insert(term_field.name.clone(), FieldProvenance::term_pattern());
-                }
+            let method = if any_section_present {
+                MethodUsed::Pattern
             } else if self.salvage {
                 // Tier-3 term salvage: every section this field is dictated
                 // in is gone (garbled headers merge their text into
@@ -283,32 +232,14 @@ impl Pipeline {
                 // recovers terms at the cost of precision — terms from
                 // *other* history sections (e.g. family history) leak in.
                 let whole: String = join_bodies(record, None);
-                let (pre, other) = self.terms.extract_partitioned(&whole, predefined_set);
-                let mut salvaged = 0u32;
-                for hit in pre {
-                    let name = hit.concept.preferred.to_string();
-                    if !slots.0.contains(&name) {
-                        slots.0.push(name);
-                        salvaged += 1;
-                    }
-                }
-                for hit in other {
-                    let name = hit.concept.preferred.to_string();
-                    if !slots.1.contains(&name) {
-                        slots.1.push(name);
-                        salvaged += 1;
-                    }
-                }
-                if salvaged > 0 {
-                    for _ in 0..salvaged {
-                        out.degradation.tiers.record(Tier::Salvage);
-                    }
-                    out.provenance
-                        .insert(term_field.name.clone(), FieldProvenance::term_salvage());
-                    out.degradation
-                        .salvaged_fields
-                        .push(term_field.name.clone());
-                }
+                let partitioned = self.terms.extract_partitioned(&whole, predefined_set);
+                extracted = push_new_terms(partitioned, slots.0, slots.1);
+                MethodUsed::Salvage
+            } else {
+                continue;
+            };
+            if extracted {
+                out.methods.insert(term_field.name.clone(), method);
             }
         }
 
@@ -335,21 +266,32 @@ impl Pipeline {
                 };
                 if let Some(value) = crate::salvage::salvage_numeric(&text, spec) {
                     out.numeric.insert(spec.name.clone(), value);
-                    out.numeric_methods
-                        .insert(spec.name.clone(), MethodUsed::Salvage);
-                    out.provenance.insert(
-                        spec.name.clone(),
-                        FieldProvenance::of_method(MethodUsed::Salvage),
-                    );
-                    out.degradation.tiers.record(Tier::Salvage);
-                    out.degradation.salvaged_fields.push(spec.name.clone());
+                    out.methods.insert(spec.name.clone(), MethodUsed::Salvage);
                 }
             }
         }
-        out.degradation.degraded = out.degradation.tiers.salvage > 0;
-        timing.terms_nanos = terms_start.elapsed().as_nanos() as u64;
-        Ok((out, timing))
+        Ok(out)
     }
+}
+
+/// Appends the preferred names of `(predefined, other)` term hits to the
+/// matching slot, skipping names already there. True when any was added.
+fn push_new_terms(
+    (predefined, other): (Vec<crate::TermHit>, Vec<crate::TermHit>),
+    predefined_slot: &mut Vec<String>,
+    other_slot: &mut Vec<String>,
+) -> bool {
+    let mut added = false;
+    for (hits, slot) in [(predefined, predefined_slot), (other, other_slot)] {
+        for hit in hits {
+            let name = hit.concept.preferred.to_string();
+            if !slot.contains(&name) {
+                slot.push(name);
+                added = true;
+            }
+        }
+    }
+    added
 }
 
 /// Joins section bodies, newline-separated: all of them, or only those
@@ -436,18 +378,21 @@ mod tests {
     fn clean_record_is_not_degraded() {
         let p = Pipeline::with_default_schema();
         let out = p.extract(APPENDIX_RECORD);
-        assert!(!out.degradation.degraded);
-        assert!(out.degradation.salvaged_fields.is_empty());
-        assert_eq!(out.degradation.tiers.salvage, 0);
+        assert!(!out.degraded());
         assert!(
-            out.degradation.tiers.link_grammar > 0,
+            out.methods.values().any(|&m| m == MethodUsed::LinkGrammar),
             "{:?}",
-            out.degradation
+            out.methods
         );
-        // Every numeric field has provenance.
+        // Every numeric field has a method, and each term field that
+        // produced a term is tagged as the pattern tier.
         for field in out.numeric.keys() {
-            assert!(out.provenance.contains_key(field), "{field}");
+            assert!(out.methods.contains_key(field), "{field}");
         }
+        assert_eq!(
+            out.methods.get("past_medical_history"),
+            Some(&MethodUsed::Pattern)
+        );
     }
 
     #[test]
@@ -464,23 +409,16 @@ mod tests {
             Some(NumberValue::Ratio(144, 90))
         );
         assert_eq!(
-            out.numeric_methods.get("blood_pressure"),
-            Some(&crate::MethodUsed::Salvage)
+            out.methods.get("blood_pressure"),
+            Some(&MethodUsed::Salvage)
         );
-        assert!(out.degradation.degraded);
-        assert!(out
-            .degradation
-            .salvaged_fields
-            .contains(&"blood_pressure".to_string()));
-        let prov = out.provenance.get("blood_pressure").expect("provenance");
-        assert_eq!(prov.tier, crate::Tier::Salvage);
-        assert!(prov.confidence < 0.8);
+        assert!(out.degraded());
 
         // With salvage disabled the field is simply missing.
         let bare = Pipeline::with_default_schema().with_salvage(false);
         let out = bare.extract(text);
         assert_eq!(out.numeric("blood_pressure"), None);
-        assert!(!out.degradation.degraded);
+        assert!(!out.degraded());
     }
 
     #[test]
@@ -494,7 +432,7 @@ mod tests {
             out.numeric("blood_pressure"),
             Some(NumberValue::Ratio(144, 90))
         );
-        assert!(out.degradation.parse_failures.total() > 0);
-        assert!(!out.degradation.degraded, "fragments are tier 2, not 3");
+        assert!(out.parse_failures.total() > 0);
+        assert!(!out.degraded(), "fragments are tier 2, not 3");
     }
 }

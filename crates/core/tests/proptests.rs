@@ -1,36 +1,28 @@
 //! Property tests: the extractors must be total, deterministic, and honest
-//! about provenance on arbitrary input.
+//! about how each field was extracted on arbitrary input.
 
 use cmr_core::{
     ExtractedRecord, FeatureExtractor, FeatureOptions, FeatureSpec, MedicalTermExtractor,
-    NumericExtractor, Pipeline, Schema, Tier,
+    NumericExtractor, Pipeline, Schema,
 };
 use cmr_corpus::{CorpusBuilder, NoiseInjector};
 use cmr_ontology::Ontology;
 use proptest::prelude::*;
 
 /// Structural invariants every extraction output must satisfy, no matter
-/// how corrupted the input was.
+/// how corrupted the input was: `methods` names exactly the numeric
+/// fields plus each term field whose lists are non-empty.
 fn assert_well_formed(out: &ExtractedRecord) -> Result<(), TestCaseError> {
-    for field in out.numeric.keys() {
-        prop_assert!(
-            out.numeric_methods.contains_key(field),
-            "method for {field}"
-        );
-        prop_assert!(out.provenance.contains_key(field), "provenance for {field}");
+    let mut expected: Vec<&str> = out.numeric.keys().map(String::as_str).collect();
+    if !out.predefined_medical.is_empty() || !out.other_medical.is_empty() {
+        expected.push("past_medical_history");
     }
-    for field in &out.degradation.salvaged_fields {
-        let prov = out.provenance.get(field);
-        prop_assert!(
-            prov.map(|p| p.tier == Tier::Salvage).unwrap_or(false),
-            "salvaged field {field} must carry salvage provenance"
-        );
+    if !out.predefined_surgical.is_empty() || !out.other_surgical.is_empty() {
+        expected.push("past_surgical_history");
     }
-    prop_assert!(out.degradation.tiers.salvage as usize >= out.degradation.salvaged_fields.len());
-    prop_assert_eq!(out.degradation.degraded, out.degradation.tiers.salvage > 0);
-    for prov in out.provenance.values() {
-        prop_assert!(prov.confidence > 0.0 && prov.confidence <= 1.0);
-    }
+    expected.sort_unstable();
+    let keys: Vec<&str> = out.methods.keys().map(String::as_str).collect();
+    prop_assert_eq!(keys, expected);
     Ok(())
 }
 
@@ -119,10 +111,6 @@ proptest! {
     fn pipeline_total(s in "[ -~\n]{0,300}") {
         let pipeline = Pipeline::with_default_schema();
         let out = pipeline.extract(&s);
-        // Methods map keys mirror numeric keys.
-        for k in out.numeric.keys() {
-            prop_assert!(out.numeric_methods.contains_key(k));
-        }
         assert_well_formed(&out)?;
     }
 
@@ -136,7 +124,7 @@ proptest! {
     }
 
     /// Gold notes corrupted at any noise level and seed extract without
-    /// panics, and every record carries a well-formed degradation report.
+    /// panics into well-formed records.
     #[test]
     fn noisy_gold_notes_extract_cleanly(seed in 0u64..u64::MAX, level in 0u32..=100) {
         let corpus = CorpusBuilder::new().records(2).seed(2005).build();
@@ -149,15 +137,23 @@ proptest! {
     }
 }
 
-/// At noise zero the salvage tier must be inert: enabling it reproduces
-/// the salvage-free output byte-for-byte over the gold corpus.
+/// At noise zero the salvage tier must be inert: no field is tagged
+/// `Salvage`, and enabling it reproduces the salvage-free output
+/// byte-for-byte over the gold corpus.
 #[test]
 fn salvage_is_identity_at_noise_zero() {
     let corpus = CorpusBuilder::new().records(12).seed(2005).build();
     let with = Pipeline::with_default_schema();
     let without = Pipeline::with_default_schema().with_salvage(false);
     for record in &corpus.records {
-        let a = serde_json::to_string(&with.extract(&record.text)).expect("serializes");
+        let out = with.extract(&record.text);
+        assert!(
+            !out.degraded(),
+            "salvage at noise 0 for {}: {:?}",
+            record.patient_id,
+            out.methods
+        );
+        let a = serde_json::to_string(&out).expect("serializes");
         let b = serde_json::to_string(&without.extract(&record.text)).expect("serializes");
         assert_eq!(
             a, b,

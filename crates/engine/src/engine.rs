@@ -258,7 +258,6 @@ impl Engine {
         // run, not once per worker. Without it, cold per-worker caches
         // multiply parse work by the job count.
         let parse_cache = cmr_core::SharedParseCache::new();
-        let cache_handle = parse_cache.clone();
         let start = Instant::now();
 
         let schema = &self.schema;
@@ -348,7 +347,6 @@ impl Engine {
         metrics.lint_warnings = lint.warnings;
         metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
         metrics.reorder_buffer_high_water = pool_stats.reorder_high_water;
-        metrics.cache_shard_contention = cache_handle.stats().contention;
         metrics
     }
 }
@@ -456,15 +454,13 @@ pub(crate) fn extract_with_retry(
             // A cancelled attempt fails wholesale as a timeout even if
             // extraction limped to an Ok on the pattern fallback: its
             // fields would silently depend on *when* the cancellation
-            // landed, and the degradation report drops `Cancelled` parse
+            // landed, and `parse_failures` drops `Cancelled` parse
             // failures on the assumption the whole record is discarded.
             Ok(_) if timed_out => EngineError::Timeout {
                 millis: ctx.max_record_millis.unwrap_or(0),
             },
             Ok(Ok((out, sample))) => {
-                let methods: Vec<_> = out.numeric_methods.values().copied().collect();
-                ctx.collector
-                    .with(|c| c.record_ok(sample, &methods, &out.degradation));
+                ctx.collector.with(|c| c.record_ok(sample, &out));
                 return Ok(out);
             }
             Ok(Err(exceeded)) => EngineError::Budget {
@@ -512,10 +508,10 @@ pub(crate) fn extract_with_retry(
     }
 }
 
-/// Processes one record on a worker: parse, budgeted instrumented
-/// extraction. Returns the record plus its metrics sample; ALL metrics
-/// recording and failure classification live in [`extract_with_retry`],
-/// so retried or cancelled attempts are never multi-counted.
+/// Processes one record on a worker: parse, budgeted extraction. Returns
+/// the record plus its parse-cache sample; ALL metrics recording and
+/// failure classification live in [`extract_with_retry`], so retried or
+/// cancelled attempts are never multi-counted.
 fn extract_one(
     ctx: &WorkerCtx<'_>,
     text: &str,
@@ -526,27 +522,19 @@ fn extract_one(
     // chaos panic-mid-chunk schedule asserts. `io_inject` enacts panic
     // and delay; error-shaped actions have no I/O here to poison.
     let _ = cmr_failpoint::io_inject("engine::record");
-    let total_start = Instant::now();
     let budget = ExtractBudget {
         deadline: ctx
             .max_record_millis
-            .map(|ms| total_start + Duration::from_millis(ms)),
+            .map(|ms| Instant::now() + Duration::from_millis(ms)),
         max_sentences: ctx.max_record_sentences,
     };
 
     let record = Record::parse(text);
-    let record_parse_nanos = total_start.elapsed().as_nanos() as u64;
-
     let pipeline = ctx.pipeline;
     let stats_before = pipeline.parser_stats();
-    let (out, timing) = pipeline.extract_instrumented(&record, &budget)?;
+    let out = pipeline.extract_budgeted(&record, &budget)?;
     let stats = pipeline.parser_stats();
     let sample = RecordSample {
-        record_parse_nanos,
-        link_parse_nanos: stats.parse_nanos - stats_before.parse_nanos,
-        numeric_nanos: timing.numeric_nanos,
-        terms_nanos: timing.terms_nanos,
-        total_nanos: total_start.elapsed().as_nanos() as u64,
         cache_hits: stats.cache_hits - stats_before.cache_hits,
         shared_hits: stats.shared_hits - stats_before.shared_hits,
         cache_misses: stats.cache_misses - stats_before.cache_misses,
@@ -586,7 +574,6 @@ mod tests {
         );
         assert_eq!(out.metrics.records, 3);
         assert_eq!(out.metrics.errors.total(), 0);
-        assert!(out.metrics.stages.total.count == 3);
         assert!(out.metrics.records_per_sec > 0.0);
     }
 

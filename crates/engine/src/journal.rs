@@ -3,7 +3,7 @@
 //! Format — NDJSON, one flushed line per event:
 //!
 //! ```text
-//! {"version":3,"config_fingerprint":"6c62…","asset_fingerprint":"a3f9…","corpus_hash":"08b1…","records":N}
+//! {"version":4,"config_fingerprint":"6c62…","asset_fingerprint":"a3f9…","corpus_hash":"08b1…","records":N}
 //! {"snapshot":{"completed":K,"output_fingerprint":"5e1c…"},"crc":"77aa…"}        (optional, at most one)
 //! {"entry":{"index":K,"output":{"Ok":{…extracted record…}}},"crc":"9f3a…"}
 //! {"entry":{"index":K+1,"output":{"Err":{"Budget":{"sentences_done":4}}}},"crc":"08b1…"}
@@ -48,8 +48,7 @@
 //! lets the resuming process verify (and truncate to) the prefix already
 //! present in a durable output file. The rewrite goes through a temp
 //! file and an atomic rename, so a crash mid-compaction leaves either
-//! the old journal or the new one, never a hybrid. v2 journals (no
-//! snapshots, same entry lines) remain readable and resumable.
+//! the old journal or the new one, never a hybrid.
 //!
 //! Fault injection: the write paths carry `journal::manifest`,
 //! `journal::append`, `journal::truncate`, and `journal::compact`
@@ -63,20 +62,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Journal format version; bumped on any incompatible layout change.
-/// v2 added the per-line entry checksum; v3 added the optional
-/// compaction snapshot line.
-pub const JOURNAL_VERSION: u32 = 3;
-
-/// Oldest journal format this build can still read and resume. v2
-/// journals differ from v3 only in lacking snapshot lines, so they
-/// replay unchanged.
-pub const JOURNAL_COMPAT_VERSION: u32 = 2;
-
-/// Whether a journal written at `version` is readable by this build.
-fn version_compatible(version: u32) -> bool {
-    (JOURNAL_COMPAT_VERSION..=JOURNAL_VERSION).contains(&version)
-}
+/// Journal format version; bumped on any incompatible layout change, and
+/// the only version this build reads. v2 added the per-line entry
+/// checksum; v3 added the optional compaction snapshot line; v4 entry
+/// lines carry records with a per-field `methods` map and top-level
+/// `parse_failures`.
+pub const JOURNAL_VERSION: u32 = 4;
 
 /// Identity of a run: everything that determines its output bytes.
 ///
@@ -122,11 +113,10 @@ impl RunManifest {
     }
 
     /// Explains the first incompatibility with `current`, or `None` when a
-    /// journal under `self` may be resumed as `current`. Any version in
-    /// the compatibility window ([`JOURNAL_COMPAT_VERSION`]..=
-    /// [`JOURNAL_VERSION`]) is resumable.
+    /// journal under `self` may be resumed as `current`. Only
+    /// [`JOURNAL_VERSION`] is resumable.
     pub fn mismatch(&self, current: &RunManifest) -> Option<String> {
-        if !version_compatible(self.version) {
+        if self.version != JOURNAL_VERSION {
             return Some(format!(
                 "journal format v{} (this build writes v{})",
                 self.version, current.version
@@ -429,7 +419,7 @@ impl JournalReplay {
         // this reader cannot judge; stop here so the caller's `mismatch`
         // check reports the version cleanly instead of a misleading
         // corruption error.
-        if !version_compatible(replay.manifest.version) {
+        if replay.manifest.version != JOURNAL_VERSION {
             replay.done = true;
             return Ok(replay);
         }
@@ -886,11 +876,8 @@ mod tests {
         d.version = 0;
         assert!(
             d.mismatch(&a).unwrap().contains("format"),
-            "a journal older than the compatibility window is not resumable"
+            "a journal at another format version is not resumable"
         );
-        let mut e = a.clone();
-        e.version = JOURNAL_COMPAT_VERSION;
-        assert_eq!(e.mismatch(&a), None, "versions in the window resume");
 
         // The hex encoding must survive values above i64::MAX, which JSON
         // integers cannot carry.
@@ -1036,25 +1023,6 @@ mod tests {
         assert_eq!(n, collected.entries.len());
         assert_eq!(replay.valid_len(), collected.valid_len);
         assert_eq!(replay.completed(), 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v2_journal_is_still_readable_and_resumable() {
-        let path = scratch_path("v2");
-        let mut old = manifest();
-        old.version = 2;
-        let mut w = JournalWriter::create(&path, &old).unwrap();
-        w.append(&entry(0)).unwrap();
-        drop(w);
-        let read = read_journal(&path).unwrap();
-        assert_eq!(read.entries.len(), 1, "v2 entry lines parse unchanged");
-        assert!(read.snapshot.is_none());
-        assert_eq!(
-            read.manifest.mismatch(&manifest()),
-            None,
-            "v2 is inside the compatibility window"
-        );
         let _ = std::fs::remove_file(&path);
     }
 

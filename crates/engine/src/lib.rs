@@ -63,11 +63,11 @@ pub use engine::{
 pub use journal::{
     config_fingerprint, corpus_hash, read_journal, verify_output_prefix, CorpusHasher,
     JournalEntry, JournalError, JournalRead, JournalReplay, JournalWriter, OutputFingerprint,
-    RunManifest, Snapshot, JOURNAL_COMPAT_VERSION, JOURNAL_VERSION,
+    RunManifest, Snapshot, JOURNAL_VERSION,
 };
 pub use metrics::{
     DegradationTotals, DurationHistogram, EngineMetrics, ErrorCounts, MethodCounts,
-    ParseCacheMetrics, ServiceLatency, StageMetrics, HISTOGRAM_BUCKETS,
+    ParseCacheMetrics, ServiceLatency, HISTOGRAM_BUCKETS,
 };
 pub use retry::{
     is_transient, read_quarantine, AttemptRecord, QuarantineEntry, QuarantineFile, RetryPolicy,

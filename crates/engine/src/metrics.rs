@@ -1,4 +1,4 @@
-//! Engine throughput and stage-timing metrics.
+//! Engine throughput, cache and extraction-method metrics.
 //!
 //! Workers record one [`RecordSample`] per record into a thread-local
 //! [`MetricsSink`]; each sink folds into the run's shared
@@ -6,7 +6,7 @@
 //! (service), and the engine folds the collector plus its own wall-clock
 //! into a serializable [`EngineMetrics`] snapshot.
 
-use cmr_core::{DegradationReport, MethodUsed};
+use cmr_core::{ExtractedRecord, MethodUsed};
 use cmr_sync::{TrackedMutex, TrackedMutexGuard};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -92,32 +92,6 @@ impl DurationHistogram {
     }
 }
 
-/// Per-stage histograms, keyed to the pipeline of Figure 2.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StageMetrics {
-    /// Record parsing: sectioning, sentence splitting.
-    pub record_parse: DurationHistogram,
-    /// Link-grammar parsing inside the numeric stage (cache misses only).
-    pub link_parse: DurationHistogram,
-    /// The whole numeric stage: tagging, number annotation, link parsing,
-    /// association.
-    pub numeric: DurationHistogram,
-    /// The medical-term stage: POS patterns, normalization, ontology.
-    pub terms: DurationHistogram,
-    /// End-to-end per record (parse + numeric + terms).
-    pub total: DurationHistogram,
-}
-
-impl StageMetrics {
-    fn merge(&mut self, other: &StageMetrics) {
-        self.record_parse.merge(&other.record_parse);
-        self.link_parse.merge(&other.link_parse);
-        self.numeric.merge(&other.numeric);
-        self.terms.merge(&other.terms);
-        self.total.merge(&other.total);
-    }
-}
-
 /// Link-parser structure-cache counters, summed across workers.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ParseCacheMetrics {
@@ -143,18 +117,24 @@ impl ParseCacheMetrics {
     }
 }
 
-/// How numeric associations were made, summed across all records.
+/// How each field was extracted, summed across all records: one count per
+/// entry of every record's `methods` map (numeric fields and term fields
+/// alike). This is the only per-tier tally: the link-grammar tier is
+/// `link_grammar`, the pattern tier is `pattern + year_old + proximity`,
+/// and the salvage tier is `salvage`.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct MethodCounts {
     /// Link-grammar graph distance (§3.1's novel approach).
     pub link_grammar: u64,
-    /// Linguistic-pattern fallback.
+    /// Linguistic-pattern fallback for numeric fields, and POS-pattern
+    /// term fields.
     pub pattern: u64,
     /// The `{N}-year-old` dictation pattern.
     pub year_old: u64,
     /// Token-proximity baseline (ablations only).
     pub proximity: u64,
-    /// Tier-3 raw-text salvage (degraded input only).
+    /// Tier-3 raw-text salvage of numeric or term fields (degraded input
+    /// only).
     pub salvage: u64,
 }
 
@@ -170,6 +150,13 @@ impl MethodCounts {
         }
     }
 
+    /// Bumps one counter per entry of `record.methods`.
+    pub(crate) fn count_record(&mut self, record: &ExtractedRecord) {
+        for &method in record.methods.values() {
+            self.count(method);
+        }
+    }
+
     fn merge(&mut self, other: &MethodCounts) {
         self.link_grammar += other.link_grammar;
         self.pattern += other.pattern;
@@ -179,40 +166,28 @@ impl MethodCounts {
     }
 }
 
-/// Degradation accounting summed across all successful records (see
-/// [`cmr_core::DegradationReport`]): how many extracted values each tier
-/// served, how many link parses failed on sentences that mattered, and how
-/// many records needed the salvage tier at all.
+/// Degradation accounting summed across all successful records: how many
+/// link parses failed on sentences that mattered, and how many records
+/// needed the salvage tier at all.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct DegradationTotals {
-    /// Extracted values served by the link-grammar tier.
-    pub link_grammar_fields: u64,
-    /// Extracted values served by the pattern tier.
-    pub pattern_fields: u64,
-    /// Extracted values served by the tier-3 salvage scanner.
-    pub salvage_fields: u64,
     /// Link-parse failures on sentences carrying an extraction opportunity.
     pub parse_failures: u64,
-    /// Records whose report was marked degraded (≥1 salvaged field).
+    /// Records that needed the salvage tier (see
+    /// [`ExtractedRecord::degraded`]).
     pub degraded_records: u64,
 }
 
 impl DegradationTotals {
-    /// Folds one record's report into the totals.
-    pub fn add(&mut self, report: &DegradationReport) {
-        self.link_grammar_fields += u64::from(report.tiers.link_grammar);
-        self.pattern_fields += u64::from(report.tiers.pattern);
-        self.salvage_fields += u64::from(report.tiers.salvage);
-        self.parse_failures += u64::from(report.parse_failures.total());
-        if report.degraded {
+    /// Folds one record into the totals.
+    pub fn add(&mut self, record: &ExtractedRecord) {
+        self.parse_failures += u64::from(record.parse_failures.total());
+        if record.degraded() {
             self.degraded_records += 1;
         }
     }
 
     fn merge(&mut self, other: &DegradationTotals) {
-        self.link_grammar_fields += other.link_grammar_fields;
-        self.pattern_fields += other.pattern_fields;
-        self.salvage_fields += other.salvage_fields;
         self.parse_failures += other.parse_failures;
         self.degraded_records += other.degraded_records;
     }
@@ -223,7 +198,7 @@ impl DegradationTotals {
 /// Plain batch runs leave these empty; the service records one sample per
 /// handled request (and one per NDJSON line inside batch requests), so
 /// `/metrics` can report cumulative latency distributions next to the
-/// engine's stage histograms. The vendored serde stores every integer as
+/// engine's counters. The vendored serde stores every integer as
 /// an `i64`, so u64 counters above `i64::MAX` would not round-trip (the
 /// PR5 manifest-hash bug); nanosecond latency sums stay far below that,
 /// pinned by `service_latency_serialize_roundtrip` below.
@@ -294,14 +269,12 @@ pub struct EngineMetrics {
     pub wall_nanos: u64,
     /// Successful records per wall-clock second.
     pub records_per_sec: f64,
-    /// Per-stage wall-time histograms (per-record samples, all workers).
-    pub stages: StageMetrics,
     /// Link-parser structure-cache counters.
     pub parse_cache: ParseCacheMetrics,
-    /// Numeric association method counts.
+    /// Extraction-method counts over every field of every record.
     pub methods: MethodCounts,
-    /// Degradation accounting (tier usage, parse failures) summed over
-    /// successful records.
+    /// Degradation accounting (parse failures, salvaged records) summed
+    /// over successful records.
     pub degradation: DegradationTotals,
     /// Warning-severity findings from the startup asset lint (the run
     /// proceeds; `Error` findings fail the batch before it starts).
@@ -318,9 +291,6 @@ pub struct EngineMetrics {
     /// Total nanoseconds workers spent blocked waiting on the input
     /// channel, summed over workers (pool starvation signal).
     pub channel_wait_nanos: u64,
-    /// Shared parse-cache stripe-lock acquisitions that found the stripe
-    /// already held (see `SharedCacheStats::contention`).
-    pub cache_shard_contention: u64,
     /// Peak number of out-of-order results parked in the consumer's
     /// reorder ring awaiting their predecessors.
     pub reorder_buffer_high_water: u64,
@@ -335,7 +305,6 @@ impl EngineMetrics {
             jobs,
             wall_nanos,
             records_per_sec: 0.0,
-            stages: c.stages.clone(),
             parse_cache: c.parse_cache,
             methods: c.methods,
             degradation: c.degradation,
@@ -344,7 +313,6 @@ impl EngineMetrics {
             quarantined: c.quarantined,
             service: c.service.clone(),
             channel_wait_nanos: 0,
-            cache_shard_contention: 0,
             reorder_buffer_high_water: 0,
         };
         if wall_nanos > 0 {
@@ -358,10 +326,9 @@ impl EngineMetrics {
     /// run's metrics cover the whole shard instead of just the
     /// post-resume remainder — which is what lets `cmr merge` report
     /// corpus totals identical to an uninterrupted run. The replayed
-    /// method counts use the same source as the live path
-    /// (`numeric_methods.values()`); timings and cache counters of
-    /// replayed records died with the killed process and are not
-    /// reconstructed.
+    /// counts use the same source as the live path (`record.methods`);
+    /// cache counters of replayed records died with the killed process
+    /// and are not reconstructed.
     pub fn absorb_replayed(
         &mut self,
         output: &Result<cmr_core::ExtractedRecord, crate::EngineError>,
@@ -369,10 +336,8 @@ impl EngineMetrics {
         match output {
             Ok(record) => {
                 self.records += 1;
-                for &method in record.numeric_methods.values() {
-                    self.methods.count(method);
-                }
-                self.degradation.add(&record.degradation);
+                self.methods.count_record(record);
+                self.degradation.add(record);
             }
             Err(crate::EngineError::Panicked { .. }) => self.errors.panics += 1,
             Err(crate::EngineError::Budget { .. }) => self.errors.budget += 1,
@@ -407,7 +372,6 @@ impl EngineMetrics {
         } else {
             0.0
         };
-        self.stages.merge(&other.stages);
         self.parse_cache.hits += other.parse_cache.hits;
         self.parse_cache.shared_hits += other.parse_cache.shared_hits;
         self.parse_cache.misses += other.parse_cache.misses;
@@ -418,26 +382,16 @@ impl EngineMetrics {
         self.quarantined += other.quarantined;
         self.service.merge(&other.service);
         self.channel_wait_nanos += other.channel_wait_nanos;
-        self.cache_shard_contention += other.cache_shard_contention;
         self.reorder_buffer_high_water = self
             .reorder_buffer_high_water
             .max(other.reorder_buffer_high_water);
     }
 }
 
-/// One record's measurements, produced by a worker.
+/// One record's parse-cache counters, produced by a worker from
+/// `ParserStats` deltas.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecordSample {
-    /// Time spent parsing the raw text into a `Record`.
-    pub record_parse_nanos: u64,
-    /// Link-parse time within the numeric stage (from `ParserStats` delta).
-    pub link_parse_nanos: u64,
-    /// Numeric-stage time.
-    pub numeric_nanos: u64,
-    /// Term-stage time.
-    pub terms_nanos: u64,
-    /// End-to-end time for the record.
-    pub total_nanos: u64,
     /// Structure-cache hits during this record.
     pub cache_hits: u64,
     /// The subset of `cache_hits` served by the pool-wide shared cache.
@@ -454,7 +408,6 @@ pub struct RecordSample {
 pub(crate) struct MetricsCollector {
     pub records: u64,
     pub errors: ErrorCounts,
-    pub stages: StageMetrics,
     pub parse_cache: ParseCacheMetrics,
     pub methods: MethodCounts,
     pub degradation: DegradationTotals,
@@ -465,32 +418,19 @@ pub(crate) struct MetricsCollector {
 
 impl MetricsCollector {
     /// Records one successful record.
-    pub fn record_ok(
-        &mut self,
-        sample: RecordSample,
-        methods: &[MethodUsed],
-        report: &DegradationReport,
-    ) {
+    pub fn record_ok(&mut self, sample: RecordSample, record: &ExtractedRecord) {
         self.records += 1;
-        self.stages.record_parse.record(sample.record_parse_nanos);
-        self.stages.link_parse.record(sample.link_parse_nanos);
-        self.stages.numeric.record(sample.numeric_nanos);
-        self.stages.terms.record(sample.terms_nanos);
-        self.stages.total.record(sample.total_nanos);
         self.parse_cache.hits += sample.cache_hits;
         self.parse_cache.shared_hits += sample.shared_hits;
         self.parse_cache.misses += sample.cache_misses;
-        for &m in methods {
-            self.methods.count(m);
-        }
-        self.degradation.add(report);
+        self.methods.count_record(record);
+        self.degradation.add(record);
     }
 
     /// Merges a sibling collector — the drain step of [`MetricsSink`].
     pub fn merge(&mut self, other: &MetricsCollector) {
         self.records += other.records;
         self.errors.merge(&other.errors);
-        self.stages.merge(&other.stages);
         self.parse_cache.hits += other.parse_cache.hits;
         self.parse_cache.shared_hits += other.parse_cache.shared_hits;
         self.parse_cache.misses += other.parse_cache.misses;
@@ -635,34 +575,31 @@ mod tests {
         assert_eq!(m.proximity, 0);
     }
 
+    /// A record whose `methods` hold one entry per tier.
+    fn record_with_methods(methods: &[(&str, MethodUsed)]) -> ExtractedRecord {
+        let mut record = ExtractedRecord::default();
+        for &(field, method) in methods {
+            record.methods.insert(field.to_string(), method);
+        }
+        record
+    }
+
     #[test]
     fn metrics_serialize_roundtrip() {
         let mut c = MetricsCollector::default();
+        let mut record = record_with_methods(&[
+            ("age", MethodUsed::LinkGrammar),
+            ("past_medical_history", MethodUsed::Pattern),
+            ("pulse", MethodUsed::Salvage),
+        ]);
+        record.parse_failures.no_linkage = 2;
         c.record_ok(
             RecordSample {
-                record_parse_nanos: 10,
-                link_parse_nanos: 500,
-                numeric_nanos: 900,
-                terms_nanos: 90,
-                total_nanos: 1000,
                 cache_hits: 2,
                 shared_hits: 1,
                 cache_misses: 1,
             },
-            &[MethodUsed::LinkGrammar, MethodUsed::Pattern],
-            &DegradationReport {
-                tiers: cmr_core::TierFieldCounts {
-                    link_grammar: 1,
-                    pattern: 1,
-                    salvage: 1,
-                },
-                parse_failures: cmr_core::ParseFailureCounts {
-                    no_linkage: 2,
-                    ..Default::default()
-                },
-                salvaged_fields: vec!["pulse".to_string()],
-                degraded: true,
-            },
+            &record,
         );
         c.errors.panics = 1;
         c.errors.timeouts = 2;
@@ -670,7 +607,6 @@ mod tests {
         c.quarantined = 1;
         let mut m = EngineMetrics::from_collector(&c, 4, 2_000_000_000);
         m.channel_wait_nanos = 123_456_789;
-        m.cache_shard_contention = 17;
         m.reorder_buffer_high_water = 42;
         assert_eq!(m.records, 1);
         assert_eq!(m.errors.total(), 3, "timeouts count toward the total");
@@ -679,17 +615,14 @@ mod tests {
         let back: EngineMetrics = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(back.records, 1);
         assert_eq!(back.channel_wait_nanos, 123_456_789);
-        assert_eq!(back.cache_shard_contention, 17);
         assert_eq!(back.reorder_buffer_high_water, 42);
         assert_eq!(back.parse_cache.shared_hits, 1);
         assert_eq!(back.jobs, 4);
         assert_eq!(back.methods.link_grammar, 1);
-        assert_eq!(back.stages.total.count, 1);
-        assert_eq!(back.degradation.salvage_fields, 1);
+        assert_eq!(back.methods.pattern, 1);
+        assert_eq!(back.methods.salvage, 1);
         assert_eq!(back.degradation.parse_failures, 2);
         assert_eq!(back.degradation.degraded_records, 1);
-        assert_eq!(back.degradation.link_grammar_fields, 1);
-        assert_eq!(back.degradation.pattern_fields, 1);
         assert_eq!(back.errors.timeouts, 2);
         assert_eq!(back.errors.total(), 3);
         assert_eq!(back.retries, 3);
@@ -786,7 +719,6 @@ mod tests {
         };
         a.methods.pattern = 3;
         a.parse_cache.hits = 5;
-        a.stages.total.record(100);
         let mut b = EngineMetrics {
             records: 30,
             jobs: 4,
@@ -797,7 +729,6 @@ mod tests {
         };
         b.methods.pattern = 1;
         b.parse_cache.misses = 2;
-        b.stages.total.record(200);
         a.merge(&b);
         assert_eq!(a.records, 40);
         assert_eq!(a.jobs, 6);
@@ -806,7 +737,6 @@ mod tests {
         assert_eq!(a.methods.pattern, 4);
         assert_eq!(a.parse_cache.hits, 5);
         assert_eq!(a.parse_cache.misses, 2);
-        assert_eq!(a.stages.total.count, 2);
         assert_eq!(a.quarantined, 1);
         assert_eq!(a.reorder_buffer_high_water, 7);
     }
@@ -814,42 +744,40 @@ mod tests {
     #[test]
     fn absorb_replayed_matches_live_counting() {
         use crate::EngineError;
-        let mut record = cmr_core::ExtractedRecord::default();
-        record
-            .numeric_methods
-            .insert("pulse".to_string(), MethodUsed::LinkGrammar);
-        record
-            .numeric_methods
-            .insert("weight".to_string(), MethodUsed::Pattern);
-        record.degradation.tiers.link_grammar = 1;
-        record.degradation.tiers.pattern = 1;
+        let mut record = record_with_methods(&[
+            ("pulse", MethodUsed::LinkGrammar),
+            ("weight", MethodUsed::Salvage),
+        ]);
+        record.parse_failures.too_long = 1;
+        let mut live = MetricsCollector::default();
+        live.record_ok(RecordSample::default(), &record);
         let mut m = EngineMetrics::default();
         m.absorb_replayed(&Ok(record));
         m.absorb_replayed(&Err(EngineError::Budget { sentences_done: 3 }));
         m.absorb_replayed(&Err(EngineError::Timeout { millis: 10 }));
         assert_eq!(m.records, 1);
-        assert_eq!(m.methods.link_grammar, 1);
-        assert_eq!(m.methods.pattern, 1);
-        assert_eq!(m.degradation.link_grammar_fields, 1);
-        assert_eq!(m.degradation.pattern_fields, 1);
+        assert_eq!(m.methods.link_grammar, live.methods.link_grammar);
+        assert_eq!(m.methods.salvage, live.methods.salvage);
+        assert_eq!(m.methods.salvage, 1);
+        assert_eq!(
+            m.degradation.parse_failures,
+            live.degradation.parse_failures
+        );
+        assert_eq!(m.degradation.degraded_records, 1);
         assert_eq!(m.errors.budget, 1);
         assert_eq!(m.errors.timeouts, 1);
-        assert_eq!(m.stages.total.count, 0, "replayed records carry no timings");
     }
 
     #[test]
     fn degradation_totals_merge() {
         let mut a = DegradationTotals {
-            salvage_fields: 1,
             degraded_records: 1,
             ..Default::default()
         };
         a.merge(&DegradationTotals {
-            salvage_fields: 2,
             parse_failures: 3,
             ..Default::default()
         });
-        assert_eq!(a.salvage_fields, 3);
         assert_eq!(a.parse_failures, 3);
         assert_eq!(a.degraded_records, 1);
     }

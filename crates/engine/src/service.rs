@@ -173,7 +173,6 @@ impl ServiceHandle {
             self.started.elapsed().as_nanos() as u64,
         );
         m.lint_warnings = self.lint_warnings;
-        m.cache_shard_contention = self.parse_cache.stats().contention;
         m
     }
 

@@ -172,10 +172,6 @@ proptest! {
         prop_assert_eq!(merged.methods.proximity, unsharded.methods.proximity);
         prop_assert_eq!(merged.methods.salvage, unsharded.methods.salvage);
         prop_assert_eq!(
-            merged.degradation.link_grammar_fields,
-            unsharded.degradation.link_grammar_fields
-        );
-        prop_assert_eq!(
             merged.degradation.degraded_records,
             unsharded.degradation.degraded_records
         );

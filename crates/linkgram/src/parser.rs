@@ -77,7 +77,7 @@ pub struct LinkParser {
 /// Why a parse produced no linkage.
 ///
 /// Failure is a value, not a panic: batch drivers count these per record
-/// (see `cmr-core`'s `DegradationReport`) and fall through to cheaper
+/// (see `cmr-core`'s `ParseFailureCounts`) and fall through to cheaper
 /// association tiers instead of dropping the sentence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParseFailure {
@@ -205,10 +205,7 @@ const SHARED_CACHE_SHARDS: usize = 8;
 /// The stripe for a shape is a pure function of its signature, so workers
 /// racing on *one* cold shape still serialize on one stripe — preserving
 /// the no-double-parse property — while lookups of distinct shapes usually
-/// land on distinct stripes and proceed in parallel. Stripe locks are
-/// taken `try_lock`-first; an acquisition that would block is counted in
-/// [`SharedCacheStats::contention`] before falling back to a blocking
-/// lock, so the engine can report real contention rather than guess.
+/// land on distinct stripes and proceed in parallel.
 #[derive(Debug, Clone)]
 pub struct SharedParseCache {
     inner: Arc<SharedShards>,
@@ -221,7 +218,6 @@ struct SharedShards {
     mask: u64,
     hits: AtomicU64,
     misses: AtomicU64,
-    contention: AtomicU64,
 }
 
 /// Counter snapshot of a [`SharedParseCache`] (see
@@ -238,8 +234,6 @@ pub struct SharedCacheStats {
     pub hits: u64,
     /// Lookups that fell through to the O(n³) parser.
     pub misses: u64,
-    /// Stripe-lock acquisitions that found the stripe already held.
-    pub contention: u64,
 }
 
 impl Default for SharedParseCache {
@@ -277,7 +271,6 @@ impl SharedParseCache {
                 mask: (n - 1) as u64,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
-                contention: AtomicU64::new(0),
             }),
         }
     }
@@ -292,25 +285,17 @@ impl SharedParseCache {
         &self.inner.shards[((h >> 32) & self.inner.mask) as usize]
     }
 
-    /// Locks one stripe, counting acquisitions that had to block. A
-    /// poisoned stripe is recovered, not propagated: the map holds plain
-    /// data, valid at every unlock point, so a worker that panicked
-    /// mid-extraction cannot invalidate the cache for the rest of the
-    /// pool.
+    /// Locks one stripe. A poisoned stripe is recovered, not propagated:
+    /// the map holds plain data, valid at every unlock point, so a worker
+    /// that panicked mid-extraction cannot invalidate the cache for the
+    /// rest of the pool.
     fn lock_shard<'a>(
         &'a self,
         shard: &'a TrackedMutex<ShapeCache>,
     ) -> TrackedMutexGuard<'a, ShapeCache> {
-        match shard.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poison)) => poison.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.inner.contention.fetch_add(1, Ordering::Relaxed);
-                shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            }
-        }
+        shard
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Number of lock stripes.
@@ -349,8 +334,8 @@ impl SharedParseCache {
         self.len() == 0
     }
 
-    /// Counter snapshot: stripe count, entries, evictions, pool-wide
-    /// hit/miss totals, and blocked stripe-lock acquisitions.
+    /// Counter snapshot: stripe count, entries, evictions and pool-wide
+    /// hit/miss totals.
     pub fn stats(&self) -> SharedCacheStats {
         SharedCacheStats {
             shards: self.shard_count(),
@@ -358,7 +343,6 @@ impl SharedParseCache {
             evictions: self.evictions(),
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
-            contention: self.inner.contention.load(Ordering::Relaxed),
         }
     }
 }

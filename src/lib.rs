@@ -55,9 +55,8 @@ pub mod prelude {
     pub use cmr_analyze::{analyze_assets, Diagnostic, Report, Severity};
     pub use cmr_bench::{parse_levels, run_chaos, run_chaos_with, ChaosConfig, ChaosReport};
     pub use cmr_core::{
-        CategoricalExtractor, CmrError, DegradationReport, ExtractedRecord, FeatureOptions,
-        FeatureSpec, FieldProvenance, MedicalTermExtractor, NumericExtractor, Pipeline, Schema,
-        Tier,
+        CategoricalExtractor, CmrError, ExtractedRecord, FeatureOptions, FeatureSpec,
+        MedicalTermExtractor, NumericExtractor, Pipeline, Schema,
     };
     pub use cmr_corpus::{CorpusBuilder, GoldRecord, NoiseConfig, NoiseInjector, SmokingStatus};
     pub use cmr_engine::{

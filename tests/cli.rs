@@ -465,6 +465,32 @@ fn resume_against_a_different_corpus_is_rejected() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // Same journal and corpus, but written by an older format version:
+    // only the current version is readable.
+    let current = std::fs::read_to_string(&journal).expect("read journal");
+    let (manifest, entries) = current.split_once('\n').expect("manifest line");
+    let old_manifest = manifest.replacen(
+        &format!("\"version\":{}", cmr::engine::JOURNAL_VERSION),
+        "\"version\":3",
+        1,
+    );
+    assert_ne!(old_manifest, manifest, "manifest names its version");
+    std::fs::write(&journal, format!("{old_manifest}\n{entries}")).expect("rewrite journal");
+    let out = cmr()
+        .arg("extract")
+        .arg("--journal")
+        .arg(&journal)
+        .arg("--resume")
+        .args(&notes)
+        .output()
+        .expect("run resume of an old-format journal");
+    assert_eq!(out.status.code(), Some(2), "old journal format is an error");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("journal format v3"),
+        "stderr names the format: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
