@@ -2,9 +2,10 @@
 //! and service write paths.
 //!
 //! Each *schedule* (a `CMR_FAILPOINTS`-grammar string, seeded) is run
-//! against an in-process journaled extraction and/or a service burst,
-//! and the sweep asserts the robustness invariants the rest of the
-//! system promises:
+//! against an in-process journaled extraction — cmr-engine's
+//! [`run_journaled`], the same loop `cmr extract --journal` runs — and/or
+//! a service burst, and the sweep asserts the robustness invariants the
+//! rest of the system promises:
 //!
 //! * **clean containment** — an injected ENOSPC, torn write, delay, or
 //!   panic never takes the harness down and never corrupts state beyond
@@ -25,9 +26,8 @@
 use cmr_core::Schema;
 use cmr_corpus::CorpusBuilder;
 use cmr_engine::{
-    merge_outputs, read_journal, shard_of, verify_output_prefix, Engine, EngineConfig,
-    JournalEntry, JournalWriter, OutputFingerprint, QuarantineFile, RetryPolicy, RunManifest,
-    Snapshot,
+    merge_outputs, read_journal, run_journaled, shard_of, Engine, EngineConfig, JournalRun,
+    QuarantineFile, RecordSink, RetryPolicy, RunManifest,
 };
 use cmr_failpoint::FailpointRegistry;
 use cmr_ontology::Ontology;
@@ -176,9 +176,9 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
         ..EngineConfig::default()
     };
     cmr_failpoint::clear();
-    let baseline = unfaulted_baseline(&texts, &engine_cfg);
-    let poison_baseline = unfaulted_baseline(&texts, &poison_cfg);
-    let retry_baseline = unfaulted_baseline(&texts, &retry_cfg);
+    let baseline = unfaulted_baseline(&texts, &engine_cfg, &dir.join("baseline.out"));
+    let poison_baseline = unfaulted_baseline(&texts, &poison_cfg, &dir.join("poison.out"));
+    let retry_baseline = unfaulted_baseline(&texts, &retry_cfg, &dir.join("retry.out"));
 
     let mut reports = Vec::with_capacity(schedules.len());
     for (idx, schedule) in schedules.iter().enumerate() {
@@ -190,22 +190,15 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
         let kind = classify(schedule);
         let report = match kind {
             "serve" => run_serve_schedule(&spec),
-            "shard" => run_shard_schedule(&spec, schedule, &texts, &engine_cfg, &baseline, {
-                &dir.join(format!("sched-{idx}"))
-            }),
-            "quarantine" => {
-                run_journal_schedule(&spec, schedule, &texts, &poison_cfg, &poison_baseline, {
-                    &dir.join(format!("sched-{idx}"))
-                })
+            _ => {
+                let (cfg, baseline) = match kind {
+                    "quarantine" => (&poison_cfg, &poison_baseline),
+                    "engine" => (&retry_cfg, &retry_baseline),
+                    _ => (&engine_cfg, &baseline),
+                };
+                let dir = dir.join(format!("sched-{idx}"));
+                run_journal_schedule(&spec, schedule, &texts, cfg, baseline, &dir)
             }
-            "engine" => {
-                run_journal_schedule(&spec, schedule, &texts, &retry_cfg, &retry_baseline, {
-                    &dir.join(format!("sched-{idx}"))
-                })
-            }
-            _ => run_journal_schedule(&spec, schedule, &texts, &engine_cfg, &baseline, {
-                &dir.join(format!("sched-{idx}"))
-            }),
         };
         reports.push(report);
     }
@@ -220,7 +213,7 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
 fn classify(schedule: &str) -> &'static str {
     if schedule.contains("shard::") || schedule.contains("journal::compact") {
         // `journal::compact` only has a site in the compaction-enabled
-        // sharded runner; the plain journaled phases never compact.
+        // sharded schedules; the plain journaled phases never compact.
         "shard"
     } else if schedule.contains("serve::") {
         "serve"
@@ -233,233 +226,20 @@ fn classify(schedule: &str) -> &'static str {
     }
 }
 
-/// Output lines of an unfaulted, unjournaled run — the identity target.
-fn unfaulted_baseline(texts: &[String], cfg: &EngineConfig) -> Vec<String> {
+/// Output of an unfaulted, unjournaled run: the identity target, written
+/// by the same [`RecordSink`] the journaled runs use and read back.
+fn unfaulted_baseline(texts: &[String], cfg: &EngineConfig, path: &Path) -> String {
     let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full());
-    let mut lines = Vec::with_capacity(texts.len());
-    engine.extract_stream(texts.iter().cloned(), |_idx, result| {
-        lines.push(serde_json::to_string(&result).unwrap_or_default());
-    });
-    lines
+    if let Ok(mut sink) = RecordSink::open(Some(path)) {
+        engine.extract_stream(texts.iter().cloned(), |_idx, result| sink.emit(&result));
+        let _ = sink.flush();
+    }
+    read(path)
 }
 
-/// What one journaled phase produced.
-struct JournalPhase {
-    /// Lines emitted downstream (post-journal, in order).
-    emitted: Vec<String>,
-    /// A contained fault ended the run early (the message).
-    abort: Option<String>,
-}
-
-/// Mirrors the CLI's journaled write-ahead loop: append, then emit; a
-/// failed append raises the shutdown flag and suppresses both further
-/// journaling and emission (nothing un-journaled escapes downstream).
-fn run_journal_phase(
-    texts: &[String],
-    jpath: &Path,
-    cfg: &EngineConfig,
-    quarantine: Option<&Path>,
-    resume: bool,
-) -> JournalPhase {
-    let manifest = RunManifest::for_run(cfg, texts);
-    let mut emitted = Vec::new();
-    // A journal with no complete line died before its manifest landed;
-    // nothing was journaled or emitted, so resume restarts it fresh
-    // (mirroring the CLI's crash-at-birth healing).
-    let journal_born = jpath.exists()
-        && std::fs::read(jpath)
-            .map(|bytes| bytes.contains(&b'\n'))
-            .unwrap_or(false);
-    let (mut writer, start) = if resume && journal_born {
-        let read = match read_journal(jpath) {
-            Ok(r) => r,
-            Err(e) => {
-                return JournalPhase {
-                    emitted,
-                    abort: Some(format!("reading journal: {e}")),
-                }
-            }
-        };
-        if let Some(why) = read.manifest.mismatch(&manifest) {
-            return JournalPhase {
-                emitted,
-                abort: Some(format!("manifest mismatch: {why}")),
-            };
-        }
-        for entry in &read.entries {
-            emitted.push(serde_json::to_string(&entry.output).unwrap_or_default());
-        }
-        let start = read.entries.len();
-        match JournalWriter::append_to(jpath, read.valid_len) {
-            Ok(w) => (w, start),
-            Err(e) => {
-                return JournalPhase {
-                    emitted,
-                    abort: Some(format!("reopening journal: {e}")),
-                }
-            }
-        }
-    } else {
-        match JournalWriter::create(jpath, &manifest) {
-            Ok(w) => (w, 0),
-            Err(e) => {
-                return JournalPhase {
-                    emitted,
-                    abort: Some(format!("creating journal: {e}")),
-                }
-            }
-        }
-    };
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
-        .with_shutdown(Arc::clone(&shutdown));
-    if let Some(qpath) = quarantine {
-        if let Ok(q) = QuarantineFile::create(qpath) {
-            engine = engine.with_quarantine(q);
-        }
-    }
-    let mut abort: Option<String> = None;
-    engine.extract_stream(texts.iter().skip(start).cloned(), |idx, result| {
-        let entry = JournalEntry {
-            index: start + idx,
-            output: result,
-        };
-        if abort.is_none() {
-            if let Err(e) = writer.append(&entry) {
-                abort = Some(format!("journal append: {e}"));
-                shutdown.store(true, Ordering::Relaxed);
-            }
-        }
-        if abort.is_none() {
-            emitted.push(serde_json::to_string(&entry.output).unwrap_or_default());
-        }
-    });
-    JournalPhase { emitted, abort }
-}
-
-/// One journal/quarantine schedule: faulted phase (in a thread, so an
-/// injected panic is contained), clear, resume, then the invariants.
-fn run_journal_schedule(
-    spec: &str,
-    schedule: &str,
-    texts: &[String],
-    cfg: &EngineConfig,
-    baseline: &[String],
-    dir: &Path,
-) -> ScheduleReport {
-    let _ = std::fs::create_dir_all(dir);
-    let mut violations = Vec::new();
-
-    // Faulted phase, twice (the second run only to pin replay
-    // determinism: same schedule + seed must fire identically). The
-    // `journal::truncate` point only exists on the resume path, so those
-    // schedules pre-build an unfaulted journal and fault its reopening.
-    let fault_on_resume = schedule.contains("journal::truncate");
-    let mut phases = Vec::new();
-    let mut event_logs = Vec::new();
-    for round in 0..2 {
-        let jpath = dir.join(format!("round-{round}.journal"));
-        let qpath = dir.join(format!("round-{round}.quarantine"));
-        let quarantine = classify(schedule) == "quarantine";
-        if fault_on_resume {
-            let built = run_journal_phase(texts, &jpath, cfg, None, false);
-            if let Some(e) = built.abort {
-                violations.push(format!("pre-building the journal failed: {e}"));
-                break;
-            }
-        }
-        if let Err(e) = FailpointRegistry::parse(spec).and_then(FailpointRegistry::install) {
-            violations.push(format!("installing schedule: {e}"));
-            break;
-        }
-        let run = {
-            let (texts, cfg, jpath, qpath) = (texts.to_vec(), cfg.clone(), jpath.clone(), qpath);
-            std::thread::spawn(move || {
-                run_journal_phase(
-                    &texts,
-                    &jpath,
-                    &cfg,
-                    quarantine.then_some(qpath.as_path()),
-                    fault_on_resume,
-                )
-            })
-            .join()
-        };
-        event_logs.push(cmr_failpoint::events());
-        cmr_failpoint::clear();
-        phases.push(match run {
-            Ok(phase) => phase,
-            Err(_) => JournalPhase {
-                emitted: Vec::new(),
-                abort: Some("panicked (contained)".to_string()),
-            },
-        });
-    }
-    let fires = event_logs.first().map_or(0, Vec::len);
-    if event_logs.len() == 2 && event_logs[0] != event_logs[1] {
-        violations.push(format!(
-            "replay diverged: round 1 fired {:?}, round 2 fired {:?}",
-            event_logs[0], event_logs[1]
-        ));
-    }
-    let clean_abort = phases.first().is_some_and(|p| p.abort.is_some());
-
-    // Recovery: resume round 0's journal with faults cleared. The final
-    // output (replayed prefix + remainder) must be byte-identical to the
-    // unfaulted baseline, whatever the fault did.
-    if let Some(first) = phases.first() {
-        let jpath = dir.join("round-0.journal");
-        let quarantine = classify(schedule) == "quarantine";
-        let qpath = dir.join("resume.quarantine");
-        let resumed = run_journal_phase(
-            texts,
-            &jpath,
-            cfg,
-            quarantine.then_some(qpath.as_path()),
-            jpath.exists(),
-        );
-        if let Some(e) = resumed.abort {
-            violations.push(format!("resume after fault aborted: {e}"));
-        } else {
-            if resumed.emitted != baseline {
-                violations.push(format!(
-                    "resume output diverged from the unfaulted baseline \
-                     ({} vs {} line(s))",
-                    resumed.emitted.len(),
-                    baseline.len()
-                ));
-            }
-            // Exactly-once: the healed journal holds records 0..n with
-            // no gaps or duplicates (read_journal rejects both), and the
-            // faulted phase emitted only a prefix of the baseline —
-            // nothing a consumer saw is outside the journal.
-            match read_journal(&jpath) {
-                Ok(read) => {
-                    if read.entries.len() != texts.len() {
-                        violations.push(format!(
-                            "journal holds {} of {} record(s) after resume",
-                            read.entries.len(),
-                            texts.len()
-                        ));
-                    }
-                }
-                Err(e) => violations.push(format!("journal unreadable after resume: {e}")),
-            }
-            if first.emitted != baseline[..first.emitted.len().min(baseline.len())] {
-                violations.push(
-                    "faulted phase emitted lines that are not a prefix of the baseline".to_string(),
-                );
-            }
-        }
-    }
-    ScheduleReport {
-        schedule: spec.to_string(),
-        kind: classify(schedule).to_string(),
-        fires,
-        clean_abort,
-        violations,
-    }
+/// A file's contents, or nothing when it cannot be read.
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_default()
 }
 
 /// How many ways the shard schedules partition the corpus.
@@ -469,209 +249,97 @@ const SHARD_WAYS: usize = 3;
 /// site to hit and the O(remainder) bound is actually exercised.
 const SHARD_COMPACT_EVERY: usize = 4;
 
-/// One shard phase: the in-process analogue of a single
-/// `cmr extract --shard s/N --compact-every K` subprocess. Write-ahead
-/// journal, durable output file (the compacted-away prefix lives only
-/// there), periodic snapshot-and-truncate compaction. The synthetic
-/// `shard::kill` failpoint is checked between records: a fire is "this
-/// shard died here", leaving journal and output as a clean prefix for
-/// the supervisor's restart to heal. Returns the abort message, if any.
-fn run_shard_phase(
-    texts: &[String],
-    jpath: &Path,
-    opath: &Path,
-    cfg: &EngineConfig,
-    resume: bool,
-    compact_every: usize,
-) -> Option<String> {
-    use std::io::{BufReader, Seek, SeekFrom};
-
-    let manifest = RunManifest::for_run(cfg, texts);
-    let journal_born = jpath.exists()
-        && std::fs::read(jpath)
-            .map(|bytes| bytes.contains(&b'\n'))
-            .unwrap_or(false);
-    let (writer, start, mut fingerprint, out) = if resume && journal_born {
-        let read = match read_journal(jpath) {
-            Ok(r) => r,
-            Err(e) => return Some(format!("reading journal: {e}")),
-        };
-        if let Some(why) = read.manifest.mismatch(&manifest) {
-            return Some(format!("manifest mismatch: {why}"));
-        }
-        let (mut out, mut fingerprint) = if let Some(snap) = &read.snapshot {
-            // The compacted-away prefix exists only in the output file:
-            // prove it is exactly what the snapshot fingerprinted, drop
-            // any un-journaled tail, and continue appending after it.
-            let f = match std::fs::File::open(opath) {
-                Ok(f) => f,
-                Err(e) => return Some(format!("opening shard output: {e}")),
-            };
-            let (valid, fp) = match verify_output_prefix(&mut BufReader::new(f), snap) {
-                Ok(v) => v,
-                Err(e) => return Some(format!("verifying shard output: {e}")),
-            };
-            let mut f = match std::fs::OpenOptions::new().write(true).open(opath) {
-                Ok(f) => f,
-                Err(e) => return Some(format!("reopening shard output: {e}")),
-            };
-            if let Err(e) = f
-                .set_len(valid)
-                .and_then(|_| f.seek(SeekFrom::Start(valid)).map(|_| ()))
-            {
-                return Some(format!("truncating shard output: {e}"));
-            }
-            (f, fp)
-        } else {
-            // Uncompacted journal: rebuild the output from the replay.
-            match std::fs::File::create(opath) {
-                Ok(f) => (f, OutputFingerprint::new()),
-                Err(e) => return Some(format!("recreating shard output: {e}")),
-            }
-        };
-        for entry in &read.entries {
-            let line = serde_json::to_string(&entry.output).unwrap_or_default();
-            if let Err(e) = writeln!(out, "{line}") {
-                return Some(format!("replaying shard output: {e}"));
-            }
-            fingerprint.add_line(&line);
-        }
-        let writer = match JournalWriter::append_to(jpath, read.valid_len) {
-            Ok(w) => w,
-            Err(e) => return Some(format!("reopening journal: {e}")),
-        };
-        (writer, read.completed(), fingerprint, out)
-    } else {
-        let writer = match JournalWriter::create(jpath, &manifest) {
-            Ok(w) => w,
-            Err(e) => return Some(format!("creating journal: {e}")),
-        };
-        let out = match std::fs::File::create(opath) {
-            Ok(f) => f,
-            Err(e) => return Some(format!("creating shard output: {e}")),
-        };
-        (writer, 0, OutputFingerprint::new(), out)
-    };
-    let mut writer = writer;
-    let mut out = std::io::BufWriter::new(out);
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
-        .with_shutdown(Arc::clone(&shutdown));
-    let mut abort: Option<String> = None;
-    engine.extract_stream(texts.iter().skip(start).cloned(), |idx, result| {
-        if abort.is_some() {
-            return;
-        }
-        if let Some(inj) = cmr_failpoint::io_inject("shard::kill") {
-            abort = Some(format!("shard killed: {}", inj.into_io_error()));
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        let entry = JournalEntry {
-            index: start + idx,
-            output: result,
-        };
-        if let Err(e) = writer.append(&entry) {
-            abort = Some(format!("journal append: {e}"));
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        let line = serde_json::to_string(&entry.output).unwrap_or_default();
-        if let Err(e) = writeln!(out, "{line}") {
-            abort = Some(format!("shard output write: {e}"));
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        fingerprint.add_line(&line);
-        let done = start + idx + 1;
-        if compact_every > 0 && done % compact_every == 0 {
-            // The output must be durable before the entry lines vanish:
-            // after compaction the journal proves only the snapshot,
-            // whose fingerprint must describe bytes that survive a crash.
-            if let Err(e) = out.flush() {
-                abort = Some(format!("shard output flush: {e}"));
-                shutdown.store(true, Ordering::Relaxed);
-                return;
-            }
-            let snap = Snapshot {
-                completed: done,
-                output_fingerprint: fingerprint.as_hex(),
-            };
-            match JournalWriter::compact(jpath, &manifest, &snap) {
-                Ok(w) => writer = w,
-                Err(e) => {
-                    abort = Some(format!("journal compact: {e}"));
-                    shutdown.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-    });
-    if abort.is_none() {
-        if let Err(e) = out.flush() {
-            abort = Some(format!("shard output flush: {e}"));
-        }
-    }
-    abort
-}
-
-/// One shard schedule: a 3-way sharded, compaction-enabled run where the
-/// schedule kills a shard or faults compaction (faulted phase, twice, to
-/// pin replay determinism), then — faults cleared — every shard is
-/// resumed and the outputs merged. The invariants: merged output
-/// byte-identical to the unsharded baseline, every healed journal
-/// bounded by the compaction interval, every shard's journal accounting
-/// for exactly its slice.
-fn run_shard_schedule(
+/// One journaled schedule (every kind but `serve`), through the shipped
+/// loop, [`run_journaled`]. `shard` schedules split the corpus 3 ways and
+/// compact every 4 records — each shard the in-process analogue of one
+/// `cmr extract --shard s/3 --compact-every 4` subprocess — so shard
+/// kills and compaction faults have sites to hit; the other kinds run
+/// one unsharded, uncompacted journal.
+///
+/// The faulted phase runs twice (the second run only pins replay
+/// determinism: same schedule + seed must fire identically), each shard
+/// on its own thread so an injected panic is contained. Then, with the
+/// faults cleared, every shard resumes, as a supervisor restarts whatever
+/// died. The invariants: each faulted output is a prefix of its slice of
+/// the baseline and no longer than its journal (nothing a consumer saw is
+/// outside the journal); each healed journal accounts for exactly its
+/// slice (`read_journal` rejects gaps and duplicates) and stays within
+/// the compaction interval; and the merged outputs are byte-identical to
+/// the unfaulted baseline.
+fn run_journal_schedule(
     spec: &str,
-    _schedule: &str,
+    schedule: &str,
     texts: &[String],
     cfg: &EngineConfig,
-    baseline: &[String],
+    baseline: &str,
     dir: &Path,
 ) -> ScheduleReport {
     let _ = std::fs::create_dir_all(dir);
-    let mut violations = Vec::new();
-
-    // The corpus slice each `--shard s/3` subprocess would own.
-    let shard_texts: Vec<Vec<String>> = (0..SHARD_WAYS)
+    let kind = classify(schedule);
+    let (ways, compact_every) = if kind == "shard" {
+        (SHARD_WAYS, SHARD_COMPACT_EVERY)
+    } else {
+        (1, 0)
+    };
+    // `journal::truncate` only has a site on the resume path, so those
+    // schedules pre-build an unfaulted journal and fault its reopening.
+    let fault_on_resume = schedule.contains("journal::truncate");
+    let slices: Vec<Vec<String>> = (0..ways)
         .map(|s| {
             texts
                 .iter()
                 .enumerate()
-                .filter(|(g, _)| shard_of(*g, SHARD_WAYS) == s)
+                .filter(|(g, _)| shard_of(*g, ways) == s)
                 .map(|(_, t)| t.clone())
                 .collect()
         })
         .collect();
+    let file =
+        |round: usize, s: usize, ext: &str| dir.join(format!("round-{round}-shard-{s}.{ext}"));
+    // One phase of shard `s`; returns why it ended early, if it did.
+    let phase = |round: usize, s: usize, resume: bool| {
+        let (journal, output) = (file(round, s, "journal"), file(round, s, "out"));
+        let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full());
+        if kind == "quarantine" {
+            if let Ok(q) = QuarantineFile::create(&file(round, s, "quarantine")) {
+                engine = engine.with_quarantine(q);
+            }
+        }
+        let run = JournalRun {
+            journal: &journal,
+            output: Some(&output),
+            resume,
+            compact_every: compact_every as u64,
+        };
+        let manifest = RunManifest::for_run(cfg, &slices[s]);
+        match run_journaled(engine, &manifest, slices[s].iter().cloned(), run, |_| {}) {
+            Ok(outcome) => outcome.abort,
+            Err(e) => Some(e.to_string()),
+        }
+    };
 
-    // Faulted phase, twice (round 2 only pins replay determinism). Each
-    // round runs the three shards sequentially — one supervisor tick —
-    // in a thread so an injected panic stays contained.
-    let mut round0_aborts: Vec<Option<String>> = Vec::new();
+    let mut violations = Vec::new();
+    let mut round0_aborts = Vec::new();
     let mut event_logs = Vec::new();
-    for round in 0..2 {
+    'rounds: for round in 0..2 {
+        if fault_on_resume {
+            for s in 0..ways {
+                if let Some(e) = phase(round, s, false) {
+                    violations.push(format!("pre-building the journal failed: {e}"));
+                    break 'rounds;
+                }
+            }
+        }
         if let Err(e) = FailpointRegistry::parse(spec).and_then(FailpointRegistry::install) {
             violations.push(format!("installing schedule: {e}"));
             break;
         }
-        let mut aborts = Vec::new();
-        for (s, slice) in shard_texts.iter().enumerate() {
-            let run = {
-                let texts = slice.clone();
-                let cfg = cfg.clone();
-                let jpath = dir.join(format!("round-{round}-shard-{s}.journal"));
-                let opath = dir.join(format!("round-{round}-shard-{s}.out"));
-                std::thread::spawn(move || {
-                    run_shard_phase(&texts, &jpath, &opath, &cfg, false, SHARD_COMPACT_EVERY)
-                })
-                .join()
-            };
-            aborts.push(match run {
-                Ok(abort) => abort,
-                Err(_) => Some("panicked (contained)".to_string()),
-            });
-        }
+        let aborts: Vec<Option<String>> = (0..ways)
+            .map(|s| {
+                std::thread::scope(|t| t.spawn(|| phase(round, s, fault_on_resume)).join())
+                    .unwrap_or_else(|_| Some("panicked (contained)".to_string()))
+            })
+            .collect();
         event_logs.push(cmr_failpoint::events());
         cmr_failpoint::clear();
         if round == 0 {
@@ -687,73 +355,70 @@ fn run_shard_schedule(
     }
     let clean_abort = round0_aborts.iter().any(Option::is_some);
 
-    // Recovery: resume every round-0 shard with faults cleared (the
-    // supervisor restarting whatever died), then merge and compare.
-    for (s, slice) in shard_texts.iter().enumerate() {
-        let jpath = dir.join(format!("round-0-shard-{s}.journal"));
-        let opath = dir.join(format!("round-0-shard-{s}.out"));
-        let resume = jpath.exists();
-        if let Some(e) = run_shard_phase(slice, &jpath, &opath, cfg, resume, SHARD_COMPACT_EVERY) {
-            violations.push(format!("shard {s} resume after fault aborted: {e}"));
-        }
-    }
-
-    for (s, slice) in shard_texts.iter().enumerate() {
-        let jpath = dir.join(format!("round-0-shard-{s}.journal"));
-        // O(remainder) resume: compaction bounds the healed journal to
-        // manifest + snapshot plus less than one interval of entries.
-        let lines = std::fs::read_to_string(&jpath)
-            .map(|t| t.lines().count())
-            .unwrap_or(0);
-        if lines > SHARD_COMPACT_EVERY + 1 {
+    let mut outputs = Vec::with_capacity(ways);
+    for (s, slice) in slices.iter().enumerate() {
+        let (jpath, opath) = (file(0, s, "journal"), file(0, s, "out"));
+        let want: String = baseline
+            .lines()
+            .skip(s)
+            .step_by(ways)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let faulted = read(&opath);
+        if !want.starts_with(&faulted) {
             violations.push(format!(
-                "shard {s} journal holds {lines} line(s) after resume; compaction \
-                 every {SHARD_COMPACT_EVERY} records should bound it to {}",
-                SHARD_COMPACT_EVERY + 1
+                "shard {s}: the faulted phase emitted lines that are not a prefix of the baseline"
             ));
         }
-        // Exactly-once: the healed journal accounts for the full slice.
-        match read_journal(&jpath) {
-            Ok(read) => {
-                if read.completed() != slice.len() {
-                    violations.push(format!(
-                        "shard {s} journal accounts for {} of {} record(s) after resume",
-                        read.completed(),
-                        slice.len()
-                    ));
-                }
-            }
-            Err(e) => violations.push(format!("shard {s} journal unreadable after resume: {e}")),
+        // Write-ahead: every line the faulted phase emitted is journaled.
+        let journaled = read_journal(&jpath).map_or(0, |read| read.completed());
+        if faulted.lines().count() > journaled {
+            violations.push(format!(
+                "shard {s}: the faulted phase emitted {} line(s) but journaled {journaled}",
+                faulted.lines().count()
+            ));
         }
+        if let Some(e) = phase(0, s, jpath.exists()) {
+            violations.push(format!("shard {s}: resume after fault aborted: {e}"));
+        }
+        // O(remainder) resume: compaction bounds the healed journal to
+        // manifest + snapshot plus less than one interval of entries.
+        let lines = read(&jpath).lines().count();
+        if compact_every > 0 && lines > compact_every + 1 {
+            violations.push(format!(
+                "shard {s}: journal holds {lines} line(s) after resume; compaction every \
+                 {compact_every} records should bound it to {}",
+                compact_every + 1
+            ));
+        }
+        match read_journal(&jpath) {
+            Ok(read) if read.completed() != slice.len() => violations.push(format!(
+                "shard {s}: journal accounts for {} of {} record(s) after resume",
+                read.completed(),
+                slice.len()
+            )),
+            Ok(_) => {}
+            Err(e) => violations.push(format!("shard {s}: journal unreadable after resume: {e}")),
+        }
+        outputs.push(read(&opath));
     }
 
     // Merge identity, through the real merge path.
-    let contents: Vec<String> = (0..SHARD_WAYS)
-        .map(|s| {
-            std::fs::read_to_string(dir.join(format!("round-0-shard-{s}.out"))).unwrap_or_default()
-        })
-        .collect();
-    let mut readers: Vec<std::io::Cursor<&[u8]>> = contents
-        .iter()
-        .map(|c| std::io::Cursor::new(c.as_bytes()))
-        .collect();
+    let mut readers: Vec<&[u8]> = outputs.iter().map(String::as_bytes).collect();
     let mut merged = Vec::new();
     if let Err(e) = merge_outputs(&mut readers, &mut merged) {
         violations.push(format!("merging shard outputs: {e}"));
     }
-    let want: String = baseline.iter().map(|l| format!("{l}\n")).collect();
-    if merged != want.as_bytes() {
+    if merged != baseline.as_bytes() {
         violations.push(format!(
-            "merged shard output diverged from the unsharded baseline \
-             ({} vs {} byte(s))",
+            "output after resume diverged from the unfaulted baseline ({} vs {} byte(s))",
             merged.len(),
-            want.len()
+            baseline.len()
         ));
     }
-
     ScheduleReport {
         schedule: spec.to_string(),
-        kind: "shard".to_string(),
+        kind: kind.to_string(),
         fires,
         clean_abort,
         violations,

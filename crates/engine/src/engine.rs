@@ -26,9 +26,6 @@ pub struct EngineConfig {
     pub jobs: usize,
     /// Bound of the input queue (records buffered ahead of the workers).
     pub queue_depth: usize,
-    /// Stop the batch at the first failed record; queued records are
-    /// reported as [`EngineError::Aborted`] instead of being processed.
-    pub fail_fast: bool,
     /// Per-record wall-clock budget, milliseconds.
     pub max_record_millis: Option<u64>,
     /// Per-record sentence (link-parse step) budget.
@@ -52,7 +49,6 @@ impl Default for EngineConfig {
         EngineConfig {
             jobs: 0,
             queue_depth: 32,
-            fail_fast: false,
             max_record_millis: None,
             max_record_sentences: None,
             method: AssociationMethod::LinkWithFallback,
@@ -98,8 +94,6 @@ pub enum EngineError {
         /// The deadline that was exceeded, milliseconds.
         millis: u64,
     },
-    /// The batch stopped (`fail_fast`) before this record was processed.
-    Aborted,
     /// The startup asset lint found `Error`-severity findings; no record
     /// was processed (a broken rule asset would poison every record).
     Lint {
@@ -118,7 +112,6 @@ impl std::fmt::Display for EngineError {
             EngineError::Timeout { millis } => {
                 write!(f, "watchdog cancelled the record after {millis} ms")
             }
-            EngineError::Aborted => write!(f, "aborted: batch stopped by an earlier failure"),
             EngineError::Lint { message } => {
                 write!(f, "rule assets failed the startup lint:\n{message}")
             }
@@ -157,7 +150,7 @@ pub struct Engine {
     schema: Arc<Schema>,
     ontology: Arc<Ontology>,
     quarantine: Option<Arc<QuarantineFile>>,
-    shutdown: Option<Arc<AtomicBool>>,
+    pub(crate) shutdown: Option<Arc<AtomicBool>>,
 }
 
 impl Default for Engine {
@@ -271,7 +264,6 @@ impl Engine {
         let quarantine = self.quarantine.clone();
         let worker_collector = Arc::clone(&collector);
         let panic_collector = Arc::clone(&collector);
-        let abort_collector = Arc::clone(&collector);
 
         // The watchdog exists only when a wall-clock deadline does: it
         // shares a cancellation flag with each worker's link parser and
@@ -285,7 +277,6 @@ impl Engine {
             PoolConfig {
                 jobs,
                 queue_depth: self.cfg.queue_depth,
-                fail_fast: self.cfg.fail_fast,
                 shutdown: self.shutdown.clone(),
                 chunk: 0,
             },
@@ -326,10 +317,6 @@ impl Engine {
             move |message| {
                 lock_collector(&panic_collector).errors.panics += 1;
                 EngineError::Panicked { message }
-            },
-            move || {
-                lock_collector(&abort_collector).errors.aborted += 1;
-                EngineError::Aborted
             },
             sink,
         );
@@ -483,7 +470,6 @@ pub(crate) fn extract_with_retry(
             EngineError::Panicked { .. } => c.errors.panics += 1,
             EngineError::Budget { .. } => c.errors.budget += 1,
             EngineError::Timeout { .. } => c.errors.timeouts += 1,
-            EngineError::Aborted => c.errors.aborted += 1,
             EngineError::Lint { .. } => {}
         });
         if is_transient(&error) {

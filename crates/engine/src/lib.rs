@@ -13,18 +13,17 @@
 //! * **Determinism** — results are emitted strictly in input order, so
 //!   `--jobs 8` output is byte-identical to `--jobs 1`.
 //! * **Fault isolation** — a panicking or over-budget record becomes a
-//!   structured [`EngineError`] item; the batch survives. `fail_fast`
-//!   inverts that: the first failure stops the batch and drains the
-//!   rest as [`EngineError::Aborted`].
+//!   structured [`EngineError`] item; the batch survives.
 //! * **Metrics** — a serializable [`EngineMetrics`] snapshot: throughput,
 //!   per-stage wall-time histograms, link-parser cache hit rates,
 //!   association-method counts, error counts.
 //! * **Durability** — a write-ahead journal ([`JournalWriter`]) of
-//!   completed records with crash-recovery resume, bounded retry
-//!   ([`RetryPolicy`]) with a poison quarantine ([`QuarantineFile`]),
-//!   a stuck-worker watchdog that cancels over-deadline parses
-//!   ([`EngineError::Timeout`]), and graceful shutdown
-//!   ([`Engine::with_shutdown`]) that drains in-flight records.
+//!   completed records with crash-recovery resume ([`run_journaled`],
+//!   the one journaled-run loop the CLI and the fault sweep share),
+//!   bounded retry ([`RetryPolicy`]) with a poison quarantine
+//!   ([`QuarantineFile`]), a stuck-worker watchdog that cancels
+//!   over-deadline parses ([`EngineError::Timeout`]), and graceful
+//!   shutdown ([`Engine::with_shutdown`]) that drains in-flight records.
 //!
 //! ```
 //! use cmr_engine::{Engine, EngineConfig};
@@ -50,6 +49,7 @@
 
 mod engine;
 mod journal;
+mod journaled;
 mod metrics;
 mod pool;
 mod retry;
@@ -64,6 +64,9 @@ pub use journal::{
     config_fingerprint, corpus_hash, read_journal, verify_output_prefix, CorpusHasher,
     JournalEntry, JournalError, JournalRead, JournalReplay, JournalWriter, OutputFingerprint,
     RunManifest, Snapshot, JOURNAL_VERSION,
+};
+pub use journaled::{
+    run_journaled, JournalOutcome, JournalRun, JournalRunError, RecordSink, RunEvent,
 };
 pub use metrics::{
     DegradationTotals, DurationHistogram, EngineMetrics, ErrorCounts, MethodCounts,

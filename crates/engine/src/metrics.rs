@@ -235,8 +235,6 @@ pub struct ErrorCounts {
     pub panics: u64,
     /// Records that exceeded the per-record budget.
     pub budget: u64,
-    /// Records abandoned because `fail_fast` stopped the batch.
-    pub aborted: u64,
     /// Records cancelled by the stuck-worker watchdog (wall-clock
     /// deadline exceeded mid-parse).
     pub timeouts: u64,
@@ -245,13 +243,12 @@ pub struct ErrorCounts {
 impl ErrorCounts {
     /// Total failed records.
     pub fn total(&self) -> u64 {
-        self.panics + self.budget + self.aborted + self.timeouts
+        self.panics + self.budget + self.timeouts
     }
 
     fn merge(&mut self, other: &ErrorCounts) {
         self.panics += other.panics;
         self.budget += other.budget;
-        self.aborted += other.aborted;
         self.timeouts += other.timeouts;
     }
 }
@@ -342,7 +339,6 @@ impl EngineMetrics {
             Err(crate::EngineError::Panicked { .. }) => self.errors.panics += 1,
             Err(crate::EngineError::Budget { .. }) => self.errors.budget += 1,
             Err(crate::EngineError::Timeout { .. }) => self.errors.timeouts += 1,
-            Err(crate::EngineError::Aborted) => self.errors.aborted += 1,
             // A lint failure aborts the whole run before any journal
             // entry is written; a replayed one still counts as a panic
             // bucket's sibling rather than vanishing.

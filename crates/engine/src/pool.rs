@@ -31,10 +31,7 @@
 //! * **Fault isolation** — a panicking work item is caught with
 //!   [`std::panic::catch_unwind`] *per record*, not per chunk, and
 //!   surfaced through `on_panic` as an ordinary per-item error; the rest
-//!   of the chunk and the batch keep going. Under `fail_fast` the first
-//!   error flips a stop flag: the feeder stops feeding and workers drain
-//!   remaining queued records through `on_abort` without processing them,
-//!   so every fed index still produces exactly one output.
+//!   of the chunk and the batch keep going.
 
 use cmr_sync::{TrackedCondvar, TrackedMutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,13 +51,10 @@ pub(crate) struct PoolConfig {
     pub jobs: usize,
     /// Target bound on buffered *records* awaiting a worker.
     pub queue_depth: usize,
-    /// Stop feeding after the first error.
-    pub fail_fast: bool,
     /// External graceful-shutdown flag (SIGINT/SIGTERM): when raised, the
     /// feeder stops feeding new records but everything already fed drains
-    /// through the workers and the sink normally — unlike `fail_fast`,
-    /// queued items are *processed*, not aborted, so a journal written from
-    /// the sink stays a clean prefix of the run.
+    /// through the workers and the sink normally, so a journal written
+    /// from the sink stays a clean prefix of the run.
     pub shutdown: Option<Arc<AtomicBool>>,
     /// Steady-state records per channel send; `0` means [`DEFAULT_CHUNK`].
     /// `1` reproduces the old per-record dispatch exactly.
@@ -83,12 +77,11 @@ pub(crate) struct PoolStats {
 
 /// Runs `inputs` through `jobs` workers, invoking `sink(index, result)`
 /// strictly in input order. See the module docs for the contract.
-pub(crate) fn run_ordered<In, Out, E, It, MkW, W, P, A, S>(
+pub(crate) fn run_ordered<In, Out, E, It, MkW, W, P, S>(
     inputs: It,
     cfg: PoolConfig,
     make_worker: MkW,
     on_panic: P,
-    on_abort: A,
     mut sink: S,
 ) -> PoolStats
 where
@@ -99,11 +92,9 @@ where
     MkW: Fn(usize) -> W + Sync,
     W: FnMut(usize, In) -> Result<Out, E>,
     P: Fn(String) -> E + Sync,
-    A: Fn() -> E + Sync,
     S: FnMut(usize, Result<Out, E>),
 {
     assert!(cfg.jobs >= 1, "pool needs at least one worker");
-    let fail_fast = cfg.fail_fast;
     let queue_depth = cfg.queue_depth.max(1);
     let max_chunk = if cfg.chunk == 0 {
         DEFAULT_CHUNK
@@ -113,7 +104,6 @@ where
     // Channel bounds are in chunks; buffered records stay O(queue_depth).
     let in_bound = queue_depth.div_ceil(max_chunk).max(1);
     let out_bound = in_bound + cfg.jobs;
-    let stop = AtomicBool::new(false);
     let wait_nanos = AtomicU64::new(0);
     let chunks_sent = AtomicU64::new(0);
     let (in_tx, in_rx) = sync_channel::<Vec<(usize, In)>>(in_bound);
@@ -136,13 +126,12 @@ where
 
     let mut high_water = 0u64;
     std::thread::scope(|scope| {
-        // Feeder: enumerate inputs into chunks until done, stopped, or
-        // asked to shut down. Dropping `in_tx` is the end-of-input
-        // signal. On stop/shutdown the chunk being built is DROPPED, not
-        // flushed: nothing new is fed past the last dispatched chunk, so a
-        // flag raised before the run starts feeds zero records, and what
-        // was emitted is always a contiguous prefix of the input.
-        let stop_ref = &stop;
+        // Feeder: enumerate inputs into chunks until done or asked to
+        // shut down. Dropping `in_tx` is the end-of-input signal. On
+        // shutdown the chunk being built is DROPPED, not flushed: nothing
+        // new is fed past the last dispatched chunk, so a flag raised
+        // before the run starts feeds zero records, and what was emitted
+        // is always a contiguous prefix of the input.
         let chunks_ref = &chunks_sent;
         let shutdown_ref = cfg.shutdown.as_deref();
         let (emitted_ref, emitted_cv_ref) = (&emitted, &emitted_cv);
@@ -166,9 +155,7 @@ where
             let mut chunk_target = 1usize;
             let mut chunk: Vec<(usize, In)> = Vec::with_capacity(chunk_target);
             for item in inputs.enumerate() {
-                if stop_ref.load(Ordering::Relaxed)
-                    || shutdown_ref.is_some_and(|f| f.load(Ordering::Relaxed))
-                {
+                if shutdown_ref.is_some_and(|f| f.load(Ordering::Relaxed)) {
                     return;
                 }
                 chunk.push(item);
@@ -199,7 +186,7 @@ where
             let in_rx = Arc::clone(&in_rx);
             let out_tx = out_tx.clone();
             let wait_ref = &wait_nanos;
-            let (make_worker, on_panic, on_abort) = (&make_worker, &on_panic, &on_abort);
+            let (make_worker, on_panic) = (&make_worker, &on_panic);
             scope.spawn(move || {
                 let mut work = make_worker(widx);
                 loop {
@@ -219,20 +206,13 @@ where
                     let Ok(chunk) = msg else { break };
                     let mut results = Vec::with_capacity(chunk.len());
                     for (idx, item) in chunk {
-                        // Stop and unwind isolation are per record, not
-                        // per chunk: one poisoned record inside a batch
-                        // must not take its chunk-mates down with it.
-                        let result = if stop_ref.load(Ordering::Relaxed) {
-                            Err(on_abort())
-                        } else {
-                            match catch_unwind(AssertUnwindSafe(|| work(idx, item))) {
-                                Ok(r) => r,
-                                Err(payload) => Err(on_panic(panic_message(payload.as_ref()))),
-                            }
+                        // Unwind isolation is per record, not per chunk:
+                        // one poisoned record inside a batch must not take
+                        // its chunk-mates down with it.
+                        let result = match catch_unwind(AssertUnwindSafe(|| work(idx, item))) {
+                            Ok(r) => r,
+                            Err(payload) => Err(on_panic(panic_message(payload.as_ref()))),
                         };
-                        if fail_fast && result.is_err() {
-                            stop_ref.store(true, Ordering::Relaxed);
-                        }
                         results.push((idx, result));
                     }
                     if out_tx.send(results).is_err() {
@@ -299,22 +279,14 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Concurrency model for the pool's ordering machinery, built only under
-/// `RUSTFLAGS="--cfg loom"` (the CI loom job). Two properties are modeled
-/// across many interleavings:
-///
-/// 1. **Exactly-once, in-sequence emission**: the reorder ring emits every
-///    fed index exactly once and in strictly ascending order, for any
-///    worker count and chunk size — a duplicate emission, a skipped index,
-///    or an out-of-sequence slot reuse all fail the sink's assertion.
-/// 2. **Stop-flag handshake**: when `fail_fast` flips the stop flag while
-///    the feeder is mid-stream, the feeder stops feeding, the workers
-///    drain queued records through `on_abort`, and what was emitted is
-///    still a gapless exactly-once prefix — the flag never causes a record
-///    to be emitted twice (once processed, once aborted) or dropped.
+/// `RUSTFLAGS="--cfg loom"` (the CI loom job). Modeled across many
+/// interleavings: the reorder ring emits every fed index exactly once and
+/// in strictly ascending order, for any worker count and chunk size — a
+/// duplicate emission, a skipped index, or an out-of-sequence slot reuse
+/// all fail the sink's assertion.
 #[cfg(all(test, loom))]
 mod loom_model {
     use super::*;
-    use loom::sync::atomic::{AtomicUsize, Ordering as LoomOrdering};
 
     /// Runs the pool and asserts the sink saw indices `0..len` in strict
     /// sequence with no duplicates; returns the emitted results.
@@ -322,7 +294,6 @@ mod loom_model {
         n: usize,
         jobs: usize,
         chunk: usize,
-        fail_fast: bool,
         make_worker: impl Fn(usize) -> W + Sync,
     ) -> Vec<Result<usize, String>>
     where
@@ -334,13 +305,11 @@ mod loom_model {
             PoolConfig {
                 jobs,
                 queue_depth: 4,
-                fail_fast,
                 shutdown: None,
                 chunk,
             },
             make_worker,
             |m| format!("panic: {m}"),
-            || "aborted".to_string(),
             |idx, r| {
                 assert_eq!(
                     idx,
@@ -358,7 +327,7 @@ mod loom_model {
     fn ring_emits_each_record_exactly_once_in_sequence() {
         loom::model(|| {
             for (jobs, chunk) in [(2, 1), (2, 3), (3, 2)] {
-                let emitted = run_and_check_sequence(10, jobs, chunk, false, |_w| {
+                let emitted = run_and_check_sequence(10, jobs, chunk, |_w| {
                     |_i, x: usize| Ok::<usize, String>(x * 2)
                 });
                 assert_eq!(emitted.len(), 10, "jobs={jobs} chunk={chunk}");
@@ -368,47 +337,6 @@ mod loom_model {
             }
         });
     }
-
-    #[test]
-    fn stop_flag_handshake_keeps_emission_exact_once() {
-        loom::model(|| {
-            // The worker fails on index 2 with the stop flag still cold, so
-            // the flag is raised while the feeder races to enqueue the rest
-            // of the stream. Whatever interleaving wins, each fed index
-            // resolves exactly once: processed before the flag, or drained
-            // through `on_abort` after it — never both, never skipped.
-            let processed = AtomicUsize::new(0);
-            let processed_ref = &processed;
-            let emitted = run_and_check_sequence(64, 2, 2, true, |_w| {
-                move |i, x: usize| {
-                    if i == 2 {
-                        Err("poison".to_string())
-                    } else {
-                        processed_ref.fetch_add(1, LoomOrdering::SeqCst);
-                        Ok::<usize, String>(x)
-                    }
-                }
-            });
-            assert!(!emitted.is_empty() && emitted.len() <= 64);
-            let aborted = emitted
-                .iter()
-                .filter(|r| matches!(r, Err(e) if e == "aborted"))
-                .count();
-            let failed = emitted
-                .iter()
-                .filter(|r| matches!(r, Err(e) if e == "poison"))
-                .count();
-            assert_eq!(failed, 1, "the poisoned record resolves exactly once");
-            assert_eq!(
-                processed.load(LoomOrdering::SeqCst) + aborted + failed,
-                emitted.len(),
-                "a fed record was both processed and aborted, or neither"
-            );
-            // Everything past the poison is an abort or a pre-flag success,
-            // and index 2 itself carries the original error.
-            assert!(matches!(&emitted[2], Err(e) if e == "poison"));
-        });
-    }
 }
 
 #[cfg(test)]
@@ -416,11 +344,10 @@ mod loom_model {
 mod tests {
     use super::*;
 
-    fn cfg(jobs: usize, fail_fast: bool) -> PoolConfig {
+    fn cfg(jobs: usize) -> PoolConfig {
         PoolConfig {
             jobs,
             queue_depth: 4,
-            fail_fast,
             shutdown: None,
             chunk: 0,
         }
@@ -431,10 +358,9 @@ mod tests {
         let mut seen = Vec::new();
         run_ordered(
             0..n,
-            cfg(jobs, false),
+            cfg(jobs),
             |_w| |_i, x: usize| Ok::<usize, String>(x * 2),
             |m| m,
-            || "aborted".to_string(),
             |idx, r| seen.push((idx, r)),
         );
         seen
@@ -464,13 +390,11 @@ mod tests {
                 PoolConfig {
                     jobs: 4,
                     queue_depth: 8,
-                    fail_fast: false,
                     shutdown: None,
                     chunk,
                 },
                 |_w| |_i, x: usize| Ok::<usize, String>(x + 1),
                 |m| m,
-                || "aborted".to_string(),
                 |idx, r| seen.push((idx, r)),
             );
             assert_eq!(seen.len(), 250, "chunk={chunk}");
@@ -493,7 +417,6 @@ mod tests {
             PoolConfig {
                 jobs: 4,
                 queue_depth: 16,
-                fail_fast: false,
                 shutdown: None,
                 chunk: 4,
             },
@@ -506,7 +429,6 @@ mod tests {
                 }
             },
             |m| m,
-            || "aborted".to_string(),
             |idx, r| seen.push((idx, r)),
         );
         assert_eq!(seen.len(), 120);
@@ -527,13 +449,11 @@ mod tests {
             PoolConfig {
                 jobs: 2,
                 queue_depth: 64,
-                fail_fast: false,
                 shutdown: None,
                 chunk: 16,
             },
             |_w| |_i, x: usize| Ok::<usize, String>(x),
             |m| m,
-            || "aborted".to_string(),
             |_, _| count += 1,
         );
         assert_eq!(count, 1000);
@@ -558,7 +478,6 @@ mod tests {
             PoolConfig {
                 jobs: 2,
                 queue_depth: 4,
-                fail_fast: false,
                 shutdown: None,
                 chunk: 1,
             },
@@ -571,7 +490,6 @@ mod tests {
                 }
             },
             |m| m,
-            || "aborted".to_string(),
             |idx, r| seen.push((idx, r)),
         );
         assert_eq!(seen.len(), 1000);
@@ -591,7 +509,7 @@ mod tests {
         let mut results = Vec::new();
         run_ordered(
             0..6,
-            cfg(3, false),
+            cfg(3),
             |_w| {
                 |_i, x: usize| {
                     if x == 3 {
@@ -601,7 +519,6 @@ mod tests {
                 }
             },
             |m| format!("panic: {m}"),
-            || "aborted".to_string(),
             |_, r| results.push(r),
         );
         assert_eq!(results.len(), 6, "panicking item still yields an output");
@@ -620,7 +537,6 @@ mod tests {
             PoolConfig {
                 jobs: 1,
                 queue_depth: 16,
-                fail_fast: false,
                 shutdown: None,
                 chunk: 16,
             },
@@ -633,7 +549,6 @@ mod tests {
                 }
             },
             |m| format!("panic: {m}"),
-            || "aborted".to_string(),
             |_, r| results.push(r),
         );
         assert_eq!(results.len(), 16);
@@ -646,53 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_aborts_tail() {
-        // One worker failing on the very first item makes the race-free
-        // worst case: while the worker handles item 0, backpressure caps
-        // what the feeder can get ahead by (buffered chunks + in-flight
-        // sends), so the stop flag provably lands before the feeder
-        // finishes.
-        let mut results = Vec::new();
-        run_ordered(
-            0..10_000,
-            cfg(1, true),
-            |_w| {
-                |_i, x: usize| {
-                    if x == 0 {
-                        Err("bad record".to_string())
-                    } else {
-                        Ok::<usize, String>(x)
-                    }
-                }
-            },
-            |m| m,
-            || "aborted".to_string(),
-            |_, r| results.push(r),
-        );
-        // Every fed index yields exactly one output; the tail is aborted
-        // rather than processed; feeding stopped early.
-        assert_eq!(results[0].as_ref().unwrap_err(), "bad record");
-        assert!(
-            results.len() < 10_000,
-            "feeder ran to completion despite fail_fast ({} results)",
-            results.len()
-        );
-        for r in &results[1..] {
-            assert!(
-                matches!(r, Err(e) if e == "aborted"),
-                "tail item processed: {r:?}"
-            );
-        }
-    }
-
-    #[test]
     fn worker_state_is_per_thread() {
         // Each worker's state counts its own items; the total must equal n.
         let counts = Arc::new(Mutex::new(vec![0usize; 4]));
         let counts_ref = Arc::clone(&counts);
         run_ordered(
             0..50,
-            cfg(4, false),
+            cfg(4),
             move |widx| {
                 let counts = Arc::clone(&counts_ref);
                 move |_i, _x: usize| {
@@ -701,7 +576,6 @@ mod tests {
                 }
             },
             |m| m,
-            || "aborted".to_string(),
             |_, _| {},
         );
         let total: usize = counts.lock().unwrap().iter().sum();
@@ -714,7 +588,7 @@ mod tests {
         let seen_ref = Arc::clone(&seen);
         run_ordered(
             10..20,
-            cfg(3, false),
+            cfg(3),
             move |_w| {
                 let seen = Arc::clone(&seen_ref);
                 move |i, x: usize| {
@@ -723,7 +597,6 @@ mod tests {
                 }
             },
             |m| m,
-            || "aborted".to_string(),
             |_, _| {},
         );
         let mut pairs = seen.lock().unwrap().clone();
@@ -734,8 +607,8 @@ mod tests {
     #[test]
     fn shutdown_stops_feeding_but_drains_fed_items() {
         // Raise the shutdown flag from the first processed item: the feeder
-        // stops early, yet every item it DID feed is processed (not
-        // aborted) and emitted in order with no gaps.
+        // stops early, yet every item it DID feed is processed and
+        // emitted in order with no gaps.
         let flag = Arc::new(AtomicBool::new(false));
         let worker_flag = Arc::clone(&flag);
         let mut results = Vec::new();
@@ -744,7 +617,6 @@ mod tests {
             PoolConfig {
                 jobs: 2,
                 queue_depth: 4,
-                fail_fast: false,
                 shutdown: Some(Arc::clone(&flag)),
                 chunk: 0,
             },
@@ -756,7 +628,6 @@ mod tests {
                 }
             },
             |m| m,
-            || "aborted".to_string(),
             |idx, r| results.push((idx, r)),
         );
         assert!(
@@ -765,7 +636,7 @@ mod tests {
         );
         for (i, (idx, r)) in results.iter().enumerate() {
             assert_eq!(*idx, i, "gap in emitted indices");
-            assert_eq!(r, &Ok(i), "fed item was aborted instead of drained");
+            assert_eq!(r, &Ok(i), "fed item was dropped instead of drained");
         }
     }
 }

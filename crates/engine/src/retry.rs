@@ -219,7 +219,6 @@ mod tests {
         assert!(is_transient(&EngineError::Panicked {
             message: "boom".into()
         }));
-        assert!(!is_transient(&EngineError::Aborted));
         assert!(!is_transient(&EngineError::Lint {
             message: "bad asset".into()
         }));
@@ -231,7 +230,7 @@ mod tests {
         let entry = |index| QuarantineEntry {
             index,
             text: "note".into(),
-            error: EngineError::Aborted,
+            error: EngineError::Timeout { millis: 50 },
             attempts: vec![],
         };
         // Shard 1 of 3: local index 2 is global index 1 + 2*3 = 7.

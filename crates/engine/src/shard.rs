@@ -200,7 +200,7 @@ mod tests {
         let entry = |index: usize, tag: &str| QuarantineEntry {
             index,
             text: tag.to_string(),
-            error: EngineError::Aborted,
+            error: EngineError::Timeout { millis: 50 },
             attempts: vec![],
         };
         let merged = merge_quarantine(vec![

@@ -195,7 +195,7 @@ proptest! {
             .map(|&index| QuarantineEntry {
                 index,
                 text: format!("note {index}"),
-                error: EngineError::Aborted,
+                error: EngineError::Timeout { millis: 50 },
                 attempts: Vec::new(),
             })
             .collect();

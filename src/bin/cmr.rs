@@ -12,15 +12,17 @@
 #![deny(clippy::unwrap_used)]
 
 use cmr::engine::{
-    merge_outputs, merge_quarantine, verify_output_prefix, CorpusHasher, JournalReplay,
-    OutputFingerprint, ShardSpec, Snapshot,
+    merge_outputs, merge_quarantine, run_journaled, CorpusHasher, JournalRun, JournalRunError,
+    RecordSink, RunEvent, ShardSpec,
 };
 use cmr::prelude::*;
 use cmr::serve::ndjson::note_from_line;
 use std::fs;
-use std::io::{BufRead, Seek, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Graceful-shutdown plumbing: SIGINT/SIGTERM raise one shared flag the
 /// engine's feeder and the chaos sweep poll. The handler body is a single
@@ -105,17 +107,6 @@ const EXIT_PARTIAL: u8 = 3;
 /// fixed.
 const EXIT_IO_FAULT: u8 = 4;
 
-/// Human label for the I/O failure classes the durability paths
-/// distinguish (the exit-code taxonomy's "why", printed alongside code 4).
-fn classify_io_error(e: &std::io::Error) -> &'static str {
-    match e.kind() {
-        std::io::ErrorKind::StorageFull => "disk full (ENOSPC)",
-        std::io::ErrorKind::PermissionDenied => "permission denied",
-        std::io::ErrorKind::WriteZero => "write made no progress",
-        _ => "I/O error",
-    }
-}
-
 /// `outln!`, minus the abort when the consumer hangs up: `cmr parse ... |
 /// head` closes stdout early, and a write to a closed pipe must end the
 /// output quietly instead of panicking.
@@ -124,6 +115,134 @@ macro_rules! outln {
         use std::io::Write as _;
         let _ = writeln!(std::io::stdout(), $($arg)*);
     }};
+}
+
+/// Why a command failed. Both kinds exit 2 with one `cmr: …` line; only
+/// a usage error (a bad command line) adds the usage text.
+enum Failure {
+    Usage(String),
+    Error(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Error(e)
+    }
+}
+
+fn usage_error(message: impl Into<String>) -> Failure {
+    Failure::Usage(message.into())
+}
+
+type CmdResult = Result<ExitCode, Failure>;
+
+/// A subcommand's flags, each declared once: `--name VALUE` flags and
+/// `--name` switches.
+struct FlagTable {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// A parsed command line. A lone `-` is a positional (stdin), not a flag;
+/// a flag given twice keeps its last value.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    positional: Vec<String>,
+}
+
+/// A type a flag value parses to, and how its error message names it.
+trait FlagValue: std::str::FromStr {
+    const WHAT: &'static str;
+}
+
+impl FlagValue for usize {
+    const WHAT: &'static str = "an integer";
+}
+impl FlagValue for u64 {
+    const WHAT: &'static str = "an integer";
+}
+impl FlagValue for u32 {
+    const WHAT: &'static str = "an integer";
+}
+impl FlagValue for f64 {
+    const WHAT: &'static str = "a number";
+}
+
+impl Args {
+    fn parse(args: &[String], table: &FlagTable) -> Result<Args, Failure> {
+        let mut parsed = Args {
+            values: Vec::new(),
+            switches: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                parsed.positional.push(arg.clone());
+                continue;
+            };
+            if let Some(&switch) = table.switches.iter().find(|s| **s == name) {
+                parsed.switches.push(switch);
+            } else if let Some(&flag) = table.values.iter().find(|f| **f == name) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| usage_error(format!("--{name} needs a value")))?;
+                parsed.values.push((flag, value.clone()));
+            } else {
+                return Err(usage_error(format!("unknown flag --{name}")));
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The flag's value as written, if it was given.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    /// The flag parsed as a `T`, if it was given.
+    fn opt<T: FlagValue>(&self, name: &str) -> Result<Option<T>, Failure> {
+        self.text(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| usage_error(format!("--{name} must be {}", T::WHAT)))
+            })
+            .transpose()
+    }
+
+    /// The flag parsed as a `T`, or `default` when it was not given.
+    fn get<T: FlagValue>(&self, name: &str, default: T) -> Result<T, Failure> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// The flag as an integer >= 1, or `default` when it was not given
+    /// (`None`: the flag is required).
+    fn positive(&self, name: &str, default: Option<usize>) -> Result<usize, Failure> {
+        let bad = || usage_error(format!("--{name} must be an integer >= 1"));
+        match self.opt::<usize>(name).map_err(|_| bad())?.or(default) {
+            Some(n) if n >= 1 => Ok(n),
+            _ => Err(bad()),
+        }
+    }
+
+    /// Refuses positional arguments, for subcommands that take none.
+    fn no_positional(&self, command: &str) -> Result<(), Failure> {
+        match self.positional.first() {
+            Some(extra) => Err(usage_error(format!(
+                "{command} takes no positional arguments (got `{extra}`)"
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -142,43 +261,29 @@ fn main() -> ExitCode {
     let rest = &args[1..];
     let result = match cmd.as_str() {
         "generate" => generate(rest),
-        "extract" => match extract(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "merge" => match merge(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "orchestrate" => match orchestrate(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "chaos" => match chaos(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
+        "extract" => extract(rest),
+        "merge" => merge(rest),
+        "orchestrate" => orchestrate(rest),
+        "chaos" => chaos(rest),
         "parse" => parse(rest),
         "terms" => terms(rest),
-        "lint" => match lint(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "serve" => match serve(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
+        "lint" => lint(rest),
+        "serve" => serve(rest),
         "--help" | "-h" | "help" => {
             usage();
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(usage_error(format!("unknown command `{other}`"))),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(code) => code,
+        Err(Failure::Usage(e)) => {
             eprintln!("cmr: {e}");
             usage();
+            ExitCode::from(2)
+        }
+        Err(Failure::Error(e)) => {
+            eprintln!("cmr: {e}");
             ExitCode::from(2)
         }
     }
@@ -192,7 +297,7 @@ fn usage() {
          \u{20}  cmr generate [--records N] [--seed S] [--style V] [--out DIR]\n\
          \u{20}      write synthetic consultation notes (and gold labels as JSON);\n\
          \u{20}      --out - streams records as NDJSON to stdout instead\n\
-         \u{20}  cmr extract [--jobs N] [--queue-depth Q] [--stats] [--fail-fast]\n\
+         \u{20}  cmr extract [--jobs N] [--queue-depth Q] [--stats]\n\
          \u{20}              [--journal FILE [--resume] [--compact-every N]] [--retries N]\n\
          \u{20}              [--quarantine FILE] [--timeout-ms MS] [--max-sentences N]\n\
          \u{20}              [--ndjson] [--shard i/N] [--out FILE] [--metrics FILE] FILE...\n\
@@ -258,83 +363,42 @@ fn usage() {
     );
 }
 
-/// Parses `--flag value` pairs and `--switch` toggles; returns positionals.
-/// A lone `-` is a positional (stdin), not a flag.
-fn parse_flags(
-    args: &[String],
-    flags: &mut [(&str, &mut String)],
-    switches: &mut [(&str, &mut bool)],
-) -> Result<Vec<String>, String> {
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if let Some(slot) = switches.iter_mut().find(|(n, _)| *n == name) {
-                *slot.1 = true;
-                continue;
-            }
-            let slot = flags
-                .iter_mut()
-                .find(|(n, _)| *n == name)
-                .ok_or_else(|| format!("unknown flag --{name}"))?;
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            *slot.1 = value.clone();
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    Ok(positional)
-}
+const GENERATE: FlagTable = FlagTable {
+    values: &["records", "seed", "style", "out"],
+    switches: &[],
+};
 
-fn generate(args: &[String]) -> Result<(), String> {
-    let mut records = "50".to_string();
-    let mut count = String::new();
-    let mut seed = "2005".to_string();
-    let mut style = "0".to_string();
-    let mut out = "notes".to_string();
-    parse_flags(
-        args,
-        &mut [
-            ("records", &mut records),
-            ("count", &mut count),
-            ("seed", &mut seed),
-            ("style", &mut style),
-            ("out", &mut out),
-        ],
-        &mut [],
-    )?;
-    if !count.is_empty() {
-        records = count;
-    }
-    let n: usize = records
-        .parse()
-        .map_err(|_| "--records must be an integer".to_string())?;
-    let seed: u64 = seed
-        .parse()
-        .map_err(|_| "--seed must be an integer".to_string())?;
-    let style: f64 = style
-        .parse()
-        .map_err(|_| "--style must be a number".to_string())?;
+fn generate(args: &[String]) -> CmdResult {
+    let args = Args::parse(args, &GENERATE)?;
+    args.no_positional("generate")?;
+    let n: usize = args.get("records", 50)?;
     // A plan, not a built corpus: records are generated one at a time and
     // dropped after writing, so a million-note corpus streams in O(1)
     // memory while staying byte-identical to `CorpusBuilder::build`.
     let plan = CorpusBuilder::new()
         .records(n)
-        .seed(seed)
-        .style_variation(style)
+        .seed(args.get("seed", 2005)?)
+        .style_variation(args.get("style", 0.0)?)
         .plan();
+    let out = args.text("out").unwrap_or("notes");
     if out == "-" {
         // NDJSON streaming: one full gold record (text included) per line,
-        // ready to pipe into `cmr extract -`.
-        let stdout = std::io::stdout();
-        let mut w = std::io::BufWriter::new(stdout.lock());
-        for i in 0..plan.len() {
-            let rec = plan.record(i);
-            let json = serde_json::to_string(&rec).map_err(|e| e.to_string())?;
-            writeln!(w, "{json}").map_err(|e| format!("writing stdout: {e}"))?;
-        }
-        w.flush().map_err(|e| format!("writing stdout: {e}"))?;
-        return Ok(());
+        // ready to pipe into `cmr extract -`. A consumer that hangs up
+        // (`| head`) ends the stream quietly.
+        let mut w = std::io::BufWriter::new(std::io::stdout().lock());
+        let written = (0..plan.len())
+            .try_for_each(|i| {
+                let json = serde_json::to_string(&plan.record(i))
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+                writeln!(w, "{json}")
+            })
+            .and_then(|()| w.flush());
+        return match written {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                Err(format!("writing stdout: {e}").into())
+            }
+            _ => Ok(ExitCode::SUCCESS),
+        };
     }
     let dir = PathBuf::from(out);
     fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -347,117 +411,7 @@ fn generate(args: &[String]) -> Result<(), String> {
         fs::write(&gold, json).map_err(|e| format!("writing {}: {e}", gold.display()))?;
     }
     outln!("wrote {n} notes (+ gold labels) to {}", dir.display());
-    Ok(())
-}
-
-/// Where extraction's record lines land. Stdout is flushed per line —
-/// a downstream consumer (or a post-crash inspection) sees every
-/// completed record, and a closed pipe (`| head`) stops output without
-/// panicking the batch. An `--out` file is buffered (flushed at
-/// compaction points and at the end), and write errors are surfaced
-/// instead of swallowed: a truncated shard output would poison the merge.
-///
-/// Every emitted line also feeds the rolling [`OutputFingerprint`], which
-/// journal compaction snapshots so a resume can prove the output prefix
-/// on disk is the one the discarded journal entries produced.
-struct RecordSink {
-    dest: SinkDest,
-    failed: u64,
-    fingerprint: OutputFingerprint,
-    write_error: Option<std::io::Error>,
-}
-
-enum SinkDest {
-    Stdout {
-        w: std::io::StdoutLock<'static>,
-        closed: bool,
-    },
-    File {
-        w: std::io::BufWriter<fs::File>,
-    },
-}
-
-impl RecordSink {
-    fn stdout() -> RecordSink {
-        RecordSink {
-            dest: SinkDest::Stdout {
-                w: std::io::stdout().lock(),
-                closed: false,
-            },
-            failed: 0,
-            fingerprint: OutputFingerprint::new(),
-            write_error: None,
-        }
-    }
-
-    fn file(f: fs::File) -> RecordSink {
-        RecordSink {
-            dest: SinkDest::File {
-                w: std::io::BufWriter::new(f),
-            },
-            failed: 0,
-            fingerprint: OutputFingerprint::new(),
-            write_error: None,
-        }
-    }
-
-    fn create(path: &str) -> Result<RecordSink, String> {
-        let f = fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        Ok(RecordSink::file(f))
-    }
-
-    /// Continues the fingerprint from a compaction snapshot instead of
-    /// from the empty stream.
-    fn with_fingerprint(mut self, fingerprint: OutputFingerprint) -> RecordSink {
-        self.fingerprint = fingerprint;
-        self
-    }
-
-    /// One line per record, in input order: the record JSON, or an
-    /// in-band error object so the stream stays one object per input.
-    fn emit(&mut self, result: &Result<ExtractedRecord, EngineError>) {
-        let line = match result {
-            Ok(rec) => serde_json::to_string(rec).expect("record serializes"),
-            Err(e) => {
-                self.failed += 1;
-                format!(
-                    "{{\"error\":{}}}",
-                    serde_json::to_string(&e.to_string()).expect("string serializes")
-                )
-            }
-        };
-        self.fingerprint.add_line(&line);
-        match &mut self.dest {
-            SinkDest::Stdout { w, closed } => {
-                if !*closed && (writeln!(w, "{line}").is_err() || w.flush().is_err()) {
-                    *closed = true;
-                }
-            }
-            SinkDest::File { w } => {
-                if self.write_error.is_none() {
-                    if let Err(e) = writeln!(w, "{line}") {
-                        self.write_error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pushes buffered lines to disk (no-op for stdout, which flushes
-    /// per line). Compaction must call this first: once the journal
-    /// entries are gone, the snapshot fingerprint is only honest about
-    /// bytes that survive a crash.
-    fn flush(&mut self) -> std::io::Result<()> {
-        match &mut self.dest {
-            SinkDest::Stdout { .. } => Ok(()),
-            SinkDest::File { w } => {
-                if let Some(e) = self.write_error.take() {
-                    return Err(e);
-                }
-                w.flush()
-            }
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Streams the cleaned note texts of an NDJSON corpus file, optionally
@@ -478,489 +432,267 @@ fn ndjson_notes(
         .map(|(_, text)| text))
 }
 
-fn extract(args: &[String]) -> Result<ExitCode, String> {
-    let mut jobs = "1".to_string();
-    let mut queue_depth = "32".to_string();
-    let mut journal = String::new();
-    let mut retries = "1".to_string();
-    let mut quarantine = String::new();
-    let mut timeout_ms = String::new();
-    let mut max_sentences = String::new();
-    let mut kill_after = String::new();
-    let mut shard_spec = String::new();
-    let mut out = "-".to_string();
-    let mut metrics_out = String::new();
-    let mut compact_every = String::new();
-    let mut stats = false;
-    let mut fail_fast = false;
-    let mut resume = false;
-    let mut ndjson = false;
-    let inputs = parse_flags(
-        args,
-        &mut [
-            ("jobs", &mut jobs),
-            ("queue-depth", &mut queue_depth),
-            ("journal", &mut journal),
-            ("retries", &mut retries),
-            ("quarantine", &mut quarantine),
-            ("timeout-ms", &mut timeout_ms),
-            ("max-sentences", &mut max_sentences),
-            ("kill-after", &mut kill_after),
-            ("shard", &mut shard_spec),
-            ("out", &mut out),
-            ("metrics", &mut metrics_out),
-            ("compact-every", &mut compact_every),
-        ],
-        &mut [
-            ("stats", &mut stats),
-            ("fail-fast", &mut fail_fast),
-            ("resume", &mut resume),
-            ("ndjson", &mut ndjson),
-        ],
-    )?;
-    if inputs.is_empty() {
-        return Err("extract needs at least one file (or - for stdin NDJSON)".to_string());
-    }
-    if resume && journal.is_empty() {
-        return Err("--resume needs --journal".to_string());
-    }
-    if !kill_after.is_empty() && journal.is_empty() {
-        return Err("--kill-after needs --journal (it counts newly journaled records)".to_string());
-    }
-    if !compact_every.is_empty() && journal.is_empty() {
-        return Err("--compact-every needs --journal".to_string());
-    }
-    if ndjson && inputs.len() != 1 {
-        return Err("--ndjson takes exactly one corpus FILE".to_string());
-    }
-    let jobs: usize = jobs
-        .parse()
-        .map_err(|_| "--jobs must be an integer".to_string())?;
-    let queue_depth: usize = queue_depth
-        .parse()
-        .map_err(|_| "--queue-depth must be an integer".to_string())?;
-    let retries: u32 = retries
-        .parse()
-        .map_err(|_| "--retries must be an integer".to_string())?;
-    let parse_opt = |name: &str, value: &str| -> Result<Option<u64>, String> {
-        if value.is_empty() {
-            Ok(None)
-        } else {
-            value
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} must be an integer"))
+/// Streams the note texts of NDJSON records on stdin. `StdinLock` is not
+/// `Send` and the engine's feeder thread consumes the iterator, so the
+/// lock is taken per line.
+fn stdin_notes() -> impl Iterator<Item = String> + Send {
+    let stdin = std::io::stdin();
+    std::iter::from_fn(move || {
+        let mut buf = String::new();
+        match stdin.lock().read_line(&mut buf) {
+            Ok(0) | Err(_) => None,
+            Ok(_) => Some(buf),
         }
-    };
-    let timeout_ms = parse_opt("timeout-ms", &timeout_ms)?;
-    let max_sentences = parse_opt("max-sentences", &max_sentences)?;
-    let kill_after = parse_opt("kill-after", &kill_after)?;
-    let compact_every = parse_opt("compact-every", &compact_every)?.unwrap_or(0);
-    let shard: Option<ShardSpec> = if shard_spec.is_empty() {
-        None
-    } else {
-        Some(ShardSpec::parse(&shard_spec)?)
-    };
-    let from_stdin = inputs.len() == 1 && inputs[0] == "-";
-    // The corpus file of a streamed (--ndjson) run; stdin stays the
-    // materialized path because it cannot be re-read for a second pass.
-    let ndjson_file: Option<String> = if ndjson && !from_stdin {
-        Some(inputs[0].clone())
-    } else {
-        None
-    };
-    if shard.is_some() && ndjson_file.is_none() {
-        return Err("--shard needs --ndjson with a corpus file (a re-readable input)".to_string());
+    })
+    .filter_map(|l| note_from_line(&l))
+}
+
+const EXTRACT: FlagTable = FlagTable {
+    values: &[
+        "jobs",
+        "queue-depth",
+        "journal",
+        "retries",
+        "quarantine",
+        "timeout-ms",
+        "max-sentences",
+        "kill-after",
+        "shard",
+        "out",
+        "metrics",
+        "compact-every",
+    ],
+    switches: &["stats", "resume", "ndjson"],
+};
+
+/// `cmr extract`: pick the source, open one sink (the journaled run opens
+/// its own), and stream the source through the engine once.
+fn extract(args: &[String]) -> CmdResult {
+    let args = Args::parse(args, &EXTRACT)?;
+    let inputs = &args.positional;
+    let journal = args.text("journal");
+    let resume = args.switch("resume");
+    let kill_after: Option<u64> = args.opt("kill-after")?;
+    let compact_every: Option<u64> = args.opt("compact-every")?;
+    if inputs.is_empty() {
+        return Err(usage_error(
+            "extract needs at least one file (or - for stdin NDJSON)",
+        ));
     }
+    for (given, flag) in [
+        (resume, "--resume"),
+        (kill_after.is_some(), "--kill-after"),
+        (compact_every.is_some(), "--compact-every"),
+    ] {
+        if given && journal.is_none() {
+            return Err(usage_error(format!("{flag} needs --journal")));
+        }
+    }
+    let ndjson = args.switch("ndjson");
+    if ndjson && inputs.len() != 1 {
+        return Err(usage_error("--ndjson takes exactly one corpus FILE"));
+    }
+    let shard = args
+        .text("shard")
+        .map(ShardSpec::parse)
+        .transpose()
+        .map_err(Failure::Usage)?;
+    let from_stdin = inputs.len() == 1 && inputs[0] == "-";
+    let ndjson_file = (ndjson && !from_stdin).then(|| inputs[0].as_str());
+    if shard.is_some() && ndjson_file.is_none() {
+        return Err(usage_error(
+            "--shard needs --ndjson with a corpus file (a re-readable input)",
+        ));
+    }
+    let out_name = args.text("out").unwrap_or("-");
+    let out = (out_name != "-").then(|| Path::new(out_name));
+    let stats = args.switch("stats");
     let cfg = EngineConfig {
-        jobs,
-        queue_depth: queue_depth.max(1),
-        fail_fast,
-        max_record_millis: timeout_ms,
-        max_record_sentences: max_sentences.map(|n| n as usize),
+        jobs: args.get("jobs", 1)?,
+        queue_depth: args.get("queue-depth", 32usize)?.max(1),
+        max_record_millis: args.opt("timeout-ms")?,
+        max_record_sentences: args.opt("max-sentences")?,
         retry: RetryPolicy {
-            max_attempts: retries.max(1),
+            max_attempts: args.get("retries", 1u32)?.max(1),
             ..RetryPolicy::default()
         },
         ..EngineConfig::default()
     };
     let shutdown_flag = shutdown::install();
     let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
-        .with_shutdown(std::sync::Arc::clone(&shutdown_flag));
-    if !quarantine.is_empty() {
-        let qpath = PathBuf::from(&quarantine);
+        .with_shutdown(Arc::clone(&shutdown_flag));
+    if let Some(quarantine) = args.text("quarantine") {
         // A resumed run appends: entries from the killed attempt survive,
         // and `cmr merge` dedupes the double-quarantine that a kill
         // between quarantine-append and journal-append leaves behind.
         let file = if resume {
-            QuarantineFile::open_append(&qpath)
+            QuarantineFile::open_append(Path::new(quarantine))
         } else {
-            QuarantineFile::create(&qpath)
+            QuarantineFile::create(Path::new(quarantine))
         }
         .map_err(|e| format!("opening {quarantine}: {e}"))?;
         // Sharded entries carry their *global* corpus index, so merged
         // quarantine files read like an unsharded run's.
-        let file = match shard {
+        engine = engine.with_quarantine(match shard {
             Some(s) => file.with_index_mapping(s.index, s.total),
             None => file,
-        };
-        engine = engine.with_quarantine(file);
+        });
     }
 
-    let (sink, metrics, partial) = if !journal.is_empty() {
-        // Journaled (durable) run. The manifest fingerprints the corpus
-        // so a resume against different input is rejected. An --ndjson
-        // file corpus streams twice (hash pass, then feed pass) in
-        // O(one record) memory; stdin and note files are materialized as
-        // before (stdin cannot be re-read, and argv-sized file lists are
-        // not the corpus-scale path).
-        let (manifest, total, texts): (RunManifest, usize, Option<Vec<String>>) =
-            if let Some(corpus) = &ndjson_file {
-                let mut hasher = CorpusHasher::new();
-                for note in ndjson_notes(corpus, shard)? {
-                    hasher.add(&note);
-                }
-                let total = hasher.records();
-                (
-                    RunManifest::for_corpus(&cfg, hasher.finish(), total),
-                    total,
-                    None,
-                )
-            } else {
-                let texts: Vec<String> = if from_stdin {
-                    std::io::stdin()
-                        .lock()
-                        .lines()
-                        .map_while(Result::ok)
-                        .filter_map(|l| note_from_line(&l))
-                        .collect()
+    // The source. Note files are read up front, so a missing file fails
+    // the command before any output. An --ndjson file streams in O(one
+    // record) memory; a journaled run hashes it in a first pass for the
+    // manifest. Stdin streams too, except when journaled: the manifest
+    // needs the whole corpus, and stdin cannot be read twice.
+    let (feed, manifest): (Box<dyn Iterator<Item = String> + Send>, Option<RunManifest>) =
+        match ndjson_file {
+            Some(corpus) => {
+                let manifest = if journal.is_some() {
+                    let mut hasher = CorpusHasher::new();
+                    ndjson_notes(corpus, shard)?.for_each(|note| hasher.add(&note));
+                    Some(RunManifest::for_corpus(
+                        &cfg,
+                        hasher.finish(),
+                        hasher.records(),
+                    ))
                 } else {
-                    let mut texts = Vec::with_capacity(inputs.len());
-                    for path in &inputs {
-                        texts.push(
-                            fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
-                        );
-                    }
-                    texts
+                    None
                 };
-                let total = texts.len();
-                (RunManifest::for_run(&cfg, &texts), total, Some(texts))
-            };
-        let jpath = PathBuf::from(&journal);
-        // A journal that died at birth — the crash or ENOSPC hit before
-        // the manifest line was complete — holds nothing and proves
-        // nothing was emitted (write-ahead: the manifest precedes every
-        // record). Resume heals it by starting fresh, like a torn tail.
-        let journal_born = jpath.exists()
-            && fs::read(&jpath)
-                .map(|bytes| bytes.contains(&b'\n'))
-                .unwrap_or(false);
-        // Deterministic counters reconstructed from replayed entries, so
-        // a resumed run's metrics cover the whole shard (merged with the
-        // engine's own snapshot below).
-        let mut replay_metrics = EngineMetrics::default();
-        let (mut writer, start, mut sink) = if resume && journal_born {
-            let mut replay = JournalReplay::open(&jpath).map_err(|e| e.to_string())?;
-            if let Some(why) = replay.manifest().mismatch(&manifest) {
-                return Err(format!("cannot resume {journal}: {why}"));
+                (Box::new(ndjson_notes(corpus, shard)?), manifest)
             }
-            let snapshot = replay.snapshot().cloned();
-            let mut sink = match &snapshot {
-                Some(snap) => {
-                    // Compacted journal: the pre-snapshot records have no
-                    // entries left to replay. The snapshot's rolling
-                    // fingerprint carries the output identity across the
-                    // gap.
-                    let fp = OutputFingerprint::from_hex(&snap.output_fingerprint)
-                        .ok_or_else(|| format!("cannot resume {journal}: corrupt snapshot"))?;
-                    if out == "-" {
+            None if from_stdin && journal.is_none() => (Box::new(stdin_notes()), None),
+            None => {
+                let texts: Vec<String> = if from_stdin {
+                    stdin_notes().collect()
+                } else {
+                    inputs
+                        .iter()
+                        .map(|p| fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}")))
+                        .collect::<Result<_, _>>()?
+                };
+                let manifest = journal.map(|_| RunManifest::for_run(&cfg, &texts));
+                (Box::new(texts.into_iter()), manifest)
+            }
+        };
+    // Exit 3 means input was left unprocessed: the feed raises `drained`
+    // only when it runs dry, which a shutdown prevents.
+    let drained = Arc::new(AtomicBool::new(false));
+    let feed = {
+        let (mut feed, drained) = (feed, Arc::clone(&drained));
+        std::iter::from_fn(move || {
+            let next = feed.next();
+            if next.is_none() {
+                drained.store(true, Ordering::Relaxed);
+            }
+            next
+        })
+    };
+
+    let (metrics, failed, progress) = match (journal, manifest) {
+        (Some(journal), Some(manifest)) => {
+            let total = manifest.records;
+            let run = JournalRun {
+                journal: Path::new(journal),
+                output: out,
+                resume,
+                compact_every: compact_every.unwrap_or(0),
+            };
+            let outcome = run_journaled(engine, &manifest, feed, run, |event| match event {
+                RunEvent::Resumed { start, replayed } => {
+                    if out.is_none() && replayed < start {
                         eprintln!(
                             "cmr: resuming a compacted journal to stdout: the {} record(s) \
                              before the snapshot were emitted by the previous run and are \
                              not replayed",
-                            snap.completed
+                            start - replayed
                         );
-                        RecordSink::stdout().with_fingerprint(fp)
-                    } else {
-                        // Prove the --out file's prefix is the one the
-                        // discarded entries produced, drop anything after
-                        // it (un-journaled tail from the crash), and
-                        // append.
-                        let f = fs::File::open(&out).map_err(|e| {
-                            format!(
-                                "cannot resume a compacted journal without its output \
-                                 file {out}: {e}"
-                            )
-                        })?;
-                        let (valid_bytes, _) =
-                            verify_output_prefix(&mut std::io::BufReader::new(f), snap)
-                                .map_err(|e| format!("cannot resume {journal}: {e}"))?;
-                        let mut f = fs::OpenOptions::new()
-                            .write(true)
-                            .open(&out)
-                            .map_err(|e| format!("opening {out}: {e}"))?;
-                        f.set_len(valid_bytes)
-                            .and_then(|()| f.seek(std::io::SeekFrom::Start(valid_bytes)))
-                            .map_err(|e| format!("truncating {out}: {e}"))?;
-                        RecordSink::file(f).with_fingerprint(fp)
                     }
-                }
-                None => {
-                    if out == "-" {
-                        RecordSink::stdout()
-                    } else {
-                        // Uncompacted resume rebuilds the output file from
-                        // the full replay.
-                        RecordSink::create(&out)?
-                    }
-                }
-            };
-            // Stream the journaled prefix straight to output — O(one
-            // entry) memory — so the final output is byte-identical to an
-            // uninterrupted run.
-            let mut replayed = 0usize;
-            while let Some(step) = replay.next_entry() {
-                let entry = step.map_err(|e| e.to_string())?;
-                replay_metrics.absorb_replayed(&entry.output);
-                sink.emit(&entry.output);
-                replayed += 1;
-            }
-            let start = replay.completed();
-            eprintln!(
-                "cmr: resuming {journal}: {start}/{total} record(s) already journaled \
-                 ({replayed} replayed)"
-            );
-            let writer = match JournalWriter::append_to(&jpath, replay.valid_len()) {
-                Ok(w) => w,
-                Err(e) => {
                     eprintln!(
-                        "cmr: reopening {journal}: {} ({e})\n\
-                         cmr: no records were processed; the journal is untouched",
-                        classify_io_error(&e)
+                        "cmr: resuming {journal}: {start}/{total} record(s) already journaled \
+                         ({replayed} replayed)"
                     );
-                    return Ok(ExitCode::from(EXIT_IO_FAULT));
                 }
-            };
-            (writer, start, sink)
-        } else {
-            let writer = match JournalWriter::create(&jpath, &manifest) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!(
-                        "cmr: creating {journal}: {} ({e})\n\
-                         cmr: no records were processed",
-                        classify_io_error(&e)
-                    );
-                    return Ok(ExitCode::from(EXIT_IO_FAULT));
-                }
-            };
-            let sink = if out == "-" {
-                RecordSink::stdout()
-            } else {
-                RecordSink::create(&out)?
-            };
-            (writer, 0, sink)
-        };
-
-        let feed: Box<dyn Iterator<Item = String> + Send> = match (ndjson_file.as_ref(), texts) {
-            (Some(corpus), _) => Box::new(ndjson_notes(corpus, shard)?.skip(start)),
-            (None, Some(texts)) => Box::new(texts.into_iter().skip(start)),
-            (None, None) => unreachable!("materialized paths always carry texts"),
-        };
-        let mut abort_error: Option<String> = None;
-        let mut newly_journaled = 0u64;
-        let mut seen = 0usize;
-        let fault_flag = std::sync::Arc::clone(&shutdown_flag);
-        let metrics = engine.extract_stream(feed, |idx, result| {
-            let entry = JournalEntry {
-                index: start + idx,
-                output: result,
-            };
-            // Write-ahead ordering: the journal line lands before the
-            // record becomes visible on the output, so every record a
-            // consumer has seen is recoverable after a crash. A failed
-            // append (ENOSPC, torn write) therefore aborts cleanly: raise
-            // the shutdown flag so the pool drains, and emit nothing
-            // further — an un-journaled record in the output would be
-            // lost to resume.
-            if abort_error.is_none() {
-                if let Err(e) = writer.append(&entry) {
-                    abort_error = Some(format!(
-                        "writing {journal}: {} ({e})",
-                        classify_io_error(&e)
-                    ));
-                    fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
-            if abort_error.is_some() {
-                return;
-            }
-            sink.emit(&entry.output);
-            if let Some(e) = sink.write_error.take() {
-                // The inverse failure: the record is journaled but its
-                // output line is not durable. Abort cleanly; resume
-                // rebuilds the output from the journal.
-                abort_error = Some(format!("writing {out}: {} ({e})", classify_io_error(&e)));
-                fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                return;
-            }
-            seen += 1;
-            newly_journaled += 1;
-            if kill_after == Some(newly_journaled) {
                 // Crash-injection hook for the durability tests: die hard
                 // (no unwinding, no flushes) right after journaling the
                 // N-th new record, like a `kill -9` at the worst moment.
-                std::process::abort();
-            }
-            if compact_every > 0 && newly_journaled.is_multiple_of(compact_every) {
-                // The output must be on disk before the entry lines
-                // vanish: after compaction the journal proves only the
-                // snapshot, whose fingerprint must describe bytes that
-                // survive a crash.
-                if let Err(e) = sink.flush() {
-                    abort_error = Some(format!("writing {out}: {} ({e})", classify_io_error(&e)));
-                    fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return;
-                }
-                let snap = Snapshot {
-                    completed: start + seen,
-                    output_fingerprint: sink.fingerprint.as_hex(),
-                };
-                match JournalWriter::compact(&jpath, &manifest, &snap) {
-                    Ok(compacted) => writer = compacted,
-                    Err(e) => {
-                        // The old journal is untouched on error — still a
-                        // valid prefix, so this aborts exactly like a
-                        // failed append.
-                        abort_error = Some(format!(
-                            "compacting {journal}: {} ({e})",
-                            classify_io_error(&e)
-                        ));
-                        fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
+                RunEvent::Journaled(n) => {
+                    if kill_after == Some(n) {
+                        std::process::abort();
                     }
                 }
-            }
-        });
-        let mut metrics = metrics;
-        metrics.merge(&replay_metrics);
-        let completed = start + seen;
-        if abort_error.is_none() {
-            if let Err(e) = sink.flush() {
-                abort_error = Some(format!("writing {out}: {} ({e})", classify_io_error(&e)));
-            }
-        }
-        if let Some(e) = abort_error {
-            eprintln!(
-                "cmr: {e}\n\
-                 cmr: aborted cleanly — {completed}/{total} record(s) journaled, \
-                 nothing emitted beyond the journal; fix the underlying condition \
-                 and rerun with --journal {journal} --resume"
-            );
-            if stats {
-                if let Ok(json) = serde_json::to_string_pretty(&metrics) {
-                    eprintln!("{json}");
+            });
+            let outcome = match outcome {
+                Ok(outcome) => outcome,
+                Err(JournalRunError::Refused(why)) => return Err(why.into()),
+                Err(JournalRunError::Journal(why)) => {
+                    eprintln!("cmr: {why}\ncmr: no records were processed");
+                    return Ok(ExitCode::from(EXIT_IO_FAULT));
                 }
+            };
+            if let Some(why) = outcome.abort {
+                eprintln!(
+                    "cmr: {why}\n\
+                     cmr: aborted cleanly — {}/{total} record(s) journaled, nothing emitted \
+                     beyond the journal; fix the underlying condition and rerun with \
+                     --journal {journal} --resume",
+                    outcome.completed
+                );
+                if stats {
+                    dump_stats(&outcome.metrics)?;
+                }
+                return Ok(ExitCode::from(EXIT_IO_FAULT));
             }
-            return Ok(ExitCode::from(EXIT_IO_FAULT));
-        }
-        if completed < total {
-            eprintln!(
-                "cmr: interrupted — {completed}/{total} record(s) journaled; \
-                 rerun with --journal {journal} --resume to finish"
+            let progress = format!(
+                "{}/{total} record(s) journaled; rerun with --journal {journal} --resume \
+                 to finish",
+                outcome.completed
             );
+            (outcome.metrics, outcome.failed, progress)
         }
-        (sink, metrics, completed < total)
-    } else if let Some(corpus) = &ndjson_file {
-        // Streamed, un-journaled corpus run: one pass, O(queue) memory.
-        let mut sink = if out == "-" {
-            RecordSink::stdout()
-        } else {
-            RecordSink::create(&out)?
-        };
-        let metrics = engine.extract_stream(ndjson_notes(corpus, shard)?, |_idx, result| {
-            sink.emit(&result);
-        });
-        sink.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        let partial = shutdown_flag.load(std::sync::atomic::Ordering::Relaxed);
-        (sink, metrics, partial)
-    } else if from_stdin {
-        // Stream NDJSON records from stdin through the engine under
-        // backpressure: at most `queue_depth` records are buffered.
-        // (`StdinLock` is not `Send`, and the feeder thread consumes the
-        // iterator — so take the lock per line.)
-        let mut sink = if out == "-" {
-            RecordSink::stdout()
-        } else {
-            RecordSink::create(&out)?
-        };
-        let stdin = std::io::stdin();
-        let lines = std::iter::from_fn(move || {
-            let mut buf = String::new();
-            match stdin.lock().read_line(&mut buf) {
-                Ok(0) | Err(_) => None,
-                Ok(_) => Some(buf),
-            }
-        })
-        .filter_map(|l| note_from_line(&l));
-        let metrics = engine.extract_stream(lines, |_idx, result| {
-            sink.emit(&result);
-        });
-        sink.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        // Without a known corpus length, "partial" means the stop was
-        // signal-initiated rather than end-of-input.
-        let partial = shutdown_flag.load(std::sync::atomic::Ordering::Relaxed);
-        (sink, metrics, partial)
-    } else {
-        // Read the files up front so I/O errors fail the command before
-        // any output is produced.
-        let mut texts = Vec::with_capacity(inputs.len());
-        for path in &inputs {
-            texts.push(fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?);
+        _ => {
+            let mut sink =
+                RecordSink::open(out).map_err(|e| format!("creating {out_name}: {e}"))?;
+            let metrics = engine.extract_stream(feed, |_idx, result| sink.emit(&result));
+            sink.flush()
+                .map_err(|e| format!("writing {out_name}: {e}"))?;
+            let extracted = metrics.records + metrics.errors.total();
+            let progress = format!("{extracted} record(s) extracted");
+            (metrics, sink.failed(), progress)
         }
-        let total = texts.len();
-        let mut sink = if out == "-" {
-            RecordSink::stdout()
-        } else {
-            RecordSink::create(&out)?
-        };
-        let mut seen = 0usize;
-        let metrics = engine.extract_stream(texts.into_iter(), |_idx, result| {
-            sink.emit(&result);
-            seen += 1;
-        });
-        sink.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        if seen < total {
-            eprintln!("cmr: interrupted — {seen}/{total} record(s) extracted");
-        }
-        (sink, metrics, seen < total)
     };
+    let partial = !drained.load(Ordering::Relaxed);
+    if partial {
+        eprintln!("cmr: interrupted — {progress}");
+    }
 
-    if !metrics_out.is_empty() {
+    if let Some(path) = args.text("metrics") {
         let json = serde_json::to_string_pretty(&metrics).map_err(|e| e.to_string())?;
-        fs::write(&metrics_out, format!("{json}\n"))
-            .map_err(|e| format!("writing {metrics_out}: {e}"))?;
+        fs::write(path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))?;
     }
     if stats {
-        // `cli::metrics-dump`: the last write of a batch; a fault here
-        // must cost the stats line only, never the records above it.
-        if let Some(inj) = cmr_failpoint::io_inject("cli::metrics-dump") {
-            eprintln!("cmr: metrics dump failed: {}", inj.into_io_error());
-        } else {
-            let json = serde_json::to_string_pretty(&metrics).map_err(|e| e.to_string())?;
-            eprintln!("{json}");
-        }
+        dump_stats(&metrics)?;
     }
-    if sink.failed > 0 {
-        eprintln!(
-            "cmr: {} record(s) failed (see in-band \"error\" objects)",
-            sink.failed
-        );
+    if failed > 0 {
+        eprintln!("cmr: {failed} record(s) failed (see in-band \"error\" objects)");
     }
     Ok(if partial {
         ExitCode::from(EXIT_PARTIAL)
     } else {
         ExitCode::SUCCESS
     })
+}
+
+/// `--stats`: the metrics JSON on stderr. `cli::metrics-dump` is the last
+/// write of a batch; a fault there costs the stats only, never the
+/// records already emitted.
+fn dump_stats(metrics: &EngineMetrics) -> Result<(), String> {
+    if let Some(inj) = cmr_failpoint::io_inject("cli::metrics-dump") {
+        eprintln!("cmr: metrics dump failed: {}", inj.into_io_error());
+    } else {
+        let json = serde_json::to_string_pretty(metrics).map_err(|e| e.to_string())?;
+        eprintln!("{json}");
+    }
+    Ok(())
 }
 
 /// Path of one shard's artifact inside the shared run directory, by the
@@ -971,16 +703,12 @@ fn shard_path(dir: &str, index: usize, suffix: &str) -> PathBuf {
 }
 
 /// Recombines the artifacts of an `n`-way sharded run under `dir` into
-/// unsharded-identical files: outputs round-robin interleaved (required),
-/// metrics summed and quarantines deduped (each optional, gated on a
-/// destination path). Returns the merged record-line count.
-fn merge_artifacts(
-    dir: &str,
-    n: usize,
-    out: &str,
-    metrics_out: &str,
-    quarantine_out: &str,
-) -> Result<u64, String> {
+/// unsharded-identical files: outputs round-robin interleaved to `--out`
+/// (stdout by default), metrics summed to `--metrics` and quarantines
+/// deduped to `--quarantine` (each only when given). Returns the merged
+/// record-line count.
+fn merge_artifacts(dir: &str, n: usize, args: &Args) -> Result<u64, String> {
+    let out = args.text("out").unwrap_or("-");
     let mut readers = Vec::with_capacity(n);
     for i in 0..n {
         let p = shard_path(dir, i, "out.ndjson");
@@ -998,7 +726,7 @@ fn merge_artifacts(
         w.flush().map_err(|e| format!("writing {out}: {e}"))?;
         lines
     };
-    if !metrics_out.is_empty() {
+    if let Some(metrics_out) = args.text("metrics") {
         let mut total = EngineMetrics::default();
         for i in 0..n {
             let p = shard_path(dir, i, "metrics.json");
@@ -1012,7 +740,7 @@ fn merge_artifacts(
         fs::write(metrics_out, format!("{json}\n"))
             .map_err(|e| format!("writing {metrics_out}: {e}"))?;
     }
-    if !quarantine_out.is_empty() {
+    if let Some(quarantine_out) = args.text("quarantine") {
         let mut entries = Vec::new();
         for i in 0..n {
             let p = shard_path(dir, i, "quarantine.ndjson");
@@ -1040,38 +768,21 @@ fn merge_artifacts(
     Ok(lines)
 }
 
+const MERGE: FlagTable = FlagTable {
+    values: &["dir", "shards", "out", "metrics", "quarantine"],
+    switches: &[],
+};
+
 /// `cmr merge`: recombine an N-way sharded run's artifacts into what the
 /// unsharded run would have produced.
-fn merge(args: &[String]) -> Result<ExitCode, String> {
-    let mut dir = String::new();
-    let mut shards = String::new();
-    let mut out = "-".to_string();
-    let mut metrics_out = String::new();
-    let mut quarantine_out = String::new();
-    let extra = parse_flags(
-        args,
-        &mut [
-            ("dir", &mut dir),
-            ("shards", &mut shards),
-            ("out", &mut out),
-            ("metrics", &mut metrics_out),
-            ("quarantine", &mut quarantine_out),
-        ],
-        &mut [],
-    )?;
-    if !extra.is_empty() {
-        return Err(format!("merge takes no positional arguments: {extra:?}"));
-    }
-    if dir.is_empty() {
-        return Err("merge needs --dir (the shard artifact directory)".to_string());
-    }
-    let n: usize = shards
-        .parse()
-        .map_err(|_| "--shards must be an integer >= 1".to_string())?;
-    if n == 0 {
-        return Err("--shards must be an integer >= 1".to_string());
-    }
-    let lines = merge_artifacts(&dir, n, &out, &metrics_out, &quarantine_out)?;
+fn merge(args: &[String]) -> CmdResult {
+    let args = Args::parse(args, &MERGE)?;
+    args.no_positional("merge")?;
+    let dir = args
+        .text("dir")
+        .ok_or_else(|| usage_error("merge needs --dir (the shard artifact directory)"))?;
+    let n = args.positive("shards", None)?;
+    let lines = merge_artifacts(dir, n, &args)?;
     eprintln!("cmr: merged {lines} record(s) from {n} shard(s)");
     Ok(ExitCode::SUCCESS)
 }
@@ -1085,8 +796,8 @@ fn spawn_shard(
     dir: &str,
     index: usize,
     n: usize,
-    jobs: &str,
-    compact_every: &str,
+    jobs: usize,
+    compact_every: Option<u64>,
 ) -> std::io::Result<std::process::Child> {
     if let Some(inj) = cmr_failpoint::io_inject("orchestrate::spawn") {
         return Err(inj.into_io_error());
@@ -1097,7 +808,7 @@ fn spawn_shard(
         .arg("--shard")
         .arg(format!("{index}/{n}"))
         .arg("--jobs")
-        .arg(jobs)
+        .arg(jobs.to_string())
         .arg("--journal")
         .arg(shard_path(dir, index, "journal"))
         .arg("--resume")
@@ -1107,8 +818,8 @@ fn spawn_shard(
         .arg(shard_path(dir, index, "metrics.json"))
         .arg("--quarantine")
         .arg(shard_path(dir, index, "quarantine.ndjson"));
-    if !compact_every.is_empty() {
-        cmd.arg("--compact-every").arg(compact_every);
+    if let Some(k) = compact_every {
+        cmd.arg("--compact-every").arg(k.to_string());
     }
     cmd.arg(corpus)
         .stdin(std::process::Stdio::null())
@@ -1117,6 +828,22 @@ fn spawn_shard(
     cmd.spawn()
 }
 
+const ORCHESTRATE: FlagTable = FlagTable {
+    values: &[
+        "shards",
+        "workers",
+        "dir",
+        "jobs",
+        "compact-every",
+        "max-restarts",
+        "backoff-ms",
+        "out",
+        "metrics",
+        "quarantine",
+    ],
+    switches: &[],
+};
+
 /// `cmr orchestrate`: crash-supervised sharded extraction. Spawns the N
 /// shards as subprocesses (at most `--workers` at a time), restarts any
 /// that die — signal kill, panic, or a clean I/O abort (exit 4) — from
@@ -1124,73 +851,34 @@ fn spawn_shard(
 /// `--max-restarts` failed attempts, and merges the artifacts once every
 /// shard completes. SIGINT/SIGTERM forward to the shards so each drains
 /// and flushes its own journal, then the supervisor exits 3.
-fn orchestrate(args: &[String]) -> Result<ExitCode, String> {
+fn orchestrate(args: &[String]) -> CmdResult {
     use std::time::{Duration, Instant};
 
-    let mut shards = "4".to_string();
-    let mut workers = "0".to_string();
-    let mut dir = String::new();
-    let mut jobs = "1".to_string();
-    let mut compact_every = String::new();
-    let mut max_restarts = "3".to_string();
-    let mut backoff_ms = "200".to_string();
-    let mut out = "-".to_string();
-    let mut metrics_out = String::new();
-    let mut quarantine_out = String::new();
-    let inputs = parse_flags(
-        args,
-        &mut [
-            ("shards", &mut shards),
-            ("workers", &mut workers),
-            ("dir", &mut dir),
-            ("jobs", &mut jobs),
-            ("compact-every", &mut compact_every),
-            ("max-restarts", &mut max_restarts),
-            ("backoff-ms", &mut backoff_ms),
-            ("out", &mut out),
-            ("metrics", &mut metrics_out),
-            ("quarantine", &mut quarantine_out),
-        ],
-        &mut [],
-    )?;
-    if inputs.len() != 1 {
-        return Err("orchestrate needs exactly one NDJSON corpus FILE".to_string());
-    }
-    let corpus = inputs[0].clone();
+    let args = Args::parse(args, &ORCHESTRATE)?;
+    let [corpus] = args.positional.as_slice() else {
+        return Err(usage_error(
+            "orchestrate needs exactly one NDJSON corpus FILE",
+        ));
+    };
     if corpus == "-" {
-        return Err(
-            "orchestrate needs a corpus file (shards re-read it; stdin is not re-readable)"
-                .to_string(),
-        );
+        return Err(usage_error(
+            "orchestrate needs a corpus file (shards re-read it; stdin is not re-readable)",
+        ));
     }
-    if dir.is_empty() {
-        return Err("orchestrate needs --dir (the shard artifact directory)".to_string());
-    }
-    let n: usize = shards
-        .parse()
-        .map_err(|_| "--shards must be an integer >= 1".to_string())?;
-    if n == 0 {
-        return Err("--shards must be an integer >= 1".to_string());
-    }
-    let workers: usize = workers
-        .parse()
-        .map_err(|_| "--workers must be an integer (0 = all shards at once)".to_string())?;
-    let workers = if workers == 0 { n } else { workers };
-    let _: usize = jobs
-        .parse()
-        .map_err(|_| "--jobs must be an integer".to_string())?;
-    if !compact_every.is_empty() {
-        let _: u64 = compact_every
-            .parse()
-            .map_err(|_| "--compact-every must be an integer".to_string())?;
-    }
-    let max_restarts: u32 = max_restarts
-        .parse()
-        .map_err(|_| "--max-restarts must be an integer".to_string())?;
-    let backoff_ms: u64 = backoff_ms
-        .parse()
-        .map_err(|_| "--backoff-ms must be an integer".to_string())?;
-    fs::create_dir_all(&dir).map_err(|e| format!("creating {dir}: {e}"))?;
+    let dir = args
+        .text("dir")
+        .ok_or_else(|| usage_error("orchestrate needs --dir (the shard artifact directory)"))?;
+    let n = args.positive("shards", Some(4))?;
+    // 0 = all shards at once.
+    let workers = match args.get("workers", 0usize)? {
+        0 => n,
+        k => k,
+    };
+    let jobs: usize = args.get("jobs", 1)?;
+    let compact_every: Option<u64> = args.opt("compact-every")?;
+    let max_restarts: u32 = args.get("max-restarts", 3)?;
+    let backoff_ms: u64 = args.get("backoff-ms", 200)?;
+    fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     let exe = std::env::current_exe().map_err(|e| format!("locating the cmr executable: {e}"))?;
     let shutdown_flag = shutdown::install();
 
@@ -1299,7 +987,7 @@ fn orchestrate(args: &[String]) -> Result<ExitCode, String> {
             if !ready {
                 continue;
             }
-            match spawn_shard(&exe, &corpus, &dir, i, n, &jobs, &compact_every) {
+            match spawn_shard(&exe, corpus, dir, i, n, jobs, compact_every) {
                 Ok(child) => {
                     state.child = Some(child);
                     running += 1;
@@ -1349,58 +1037,43 @@ fn orchestrate(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::from(1));
     }
-    let lines = merge_artifacts(&dir, n, &out, &metrics_out, &quarantine_out)?;
+    let lines = merge_artifacts(dir, n, &args)?;
     eprintln!("cmr: all {n} shard(s) completed — merged {lines} record(s)");
     Ok(ExitCode::SUCCESS)
 }
+
+const SERVE: FlagTable = FlagTable {
+    values: &[
+        "addr",
+        "jobs",
+        "queue-depth",
+        "timeout-ms",
+        "max-sentences",
+        "max-body-mb",
+    ],
+    switches: &[],
+};
 
 /// `cmr serve`: the resident extraction service. Runs until SIGINT or
 /// SIGTERM, then drains (in-flight and queued requests complete, the
 /// listener closes) and exits with the partial-run code — a drained stop
 /// is an interruption, not a completed batch.
-fn serve(args: &[String]) -> Result<ExitCode, String> {
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut jobs = "0".to_string();
-    let mut queue_depth = "64".to_string();
-    let mut timeout_ms = String::new();
-    let mut max_sentences = String::new();
-    let mut max_body_mb = "8".to_string();
-    let extra = parse_flags(
-        args,
-        &mut [
-            ("addr", &mut addr),
-            ("jobs", &mut jobs),
-            ("queue-depth", &mut queue_depth),
-            ("timeout-ms", &mut timeout_ms),
-            ("max-sentences", &mut max_sentences),
-            ("max-body-mb", &mut max_body_mb),
-        ],
-        &mut [],
-    )?;
-    if !extra.is_empty() {
-        return Err(format!("serve takes no positional arguments: {extra:?}"));
-    }
-    let parse_opt = |name: &str, value: &str| -> Result<Option<u64>, String> {
-        if value.is_empty() {
-            Ok(None)
-        } else {
-            value
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} must be an integer"))
-        }
-    };
+fn serve(args: &[String]) -> CmdResult {
+    let args = Args::parse(args, &SERVE)?;
+    args.no_positional("serve")?;
+    let max_body_mb = args.positive("max-body-mb", Some(8))?;
+    let max_body_bytes = max_body_mb.checked_mul(1 << 20).ok_or_else(|| {
+        usage_error(format!(
+            "--max-body-mb {max_body_mb} is too large: the byte limit overflows"
+        ))
+    })?;
     let cfg = ServeConfig {
-        addr,
-        jobs: jobs
-            .parse()
-            .map_err(|_| "--jobs must be an integer".to_string())?,
-        queue_depth: queue_depth
-            .parse()
-            .map_err(|_| "--queue-depth must be an integer".to_string())?,
-        timeout_ms: parse_opt("timeout-ms", &timeout_ms)?,
-        max_sentences: parse_opt("max-sentences", &max_sentences)?.map(|n| n as usize),
-        max_body_bytes: parse_opt("max-body-mb", &max_body_mb)?.unwrap_or(8) as usize * 1024 * 1024,
+        addr: args.text("addr").unwrap_or("127.0.0.1:7171").to_string(),
+        jobs: args.get("jobs", 0)?,
+        queue_depth: args.get("queue-depth", 64)?,
+        timeout_ms: args.opt("timeout-ms")?,
+        max_sentences: args.opt("max-sentences")?,
+        max_body_bytes,
     };
     let shutdown_flag = shutdown::install();
     let server = Server::bind(cfg, shutdown_flag).map_err(|e| e.to_string())?;
@@ -1416,43 +1089,26 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(EXIT_PARTIAL))
 }
 
-fn chaos(args: &[String]) -> Result<ExitCode, String> {
-    let mut noise = "0..0.5".to_string();
-    let mut seed = "7".to_string();
-    let mut records = "50".to_string();
-    let mut jobs = "0".to_string();
-    let mut out = String::new();
-    let mut io_faults = String::new();
-    let mut stats = false;
-    let extra = parse_flags(
-        args,
-        &mut [
-            ("noise", &mut noise),
-            ("seed", &mut seed),
-            ("records", &mut records),
-            ("jobs", &mut jobs),
-            ("out", &mut out),
-            ("io-faults", &mut io_faults),
-        ],
-        &mut [("stats", &mut stats)],
-    )?;
-    if !extra.is_empty() {
-        return Err(format!("chaos takes no positional arguments: {extra:?}"));
-    }
-    if !io_faults.is_empty() {
-        return chaos_io_faults(&io_faults, &seed, &records, &jobs, &out);
+const CHAOS: FlagTable = FlagTable {
+    values: &["noise", "seed", "records", "jobs", "out", "io-faults"],
+    switches: &["stats"],
+};
+
+fn chaos(args: &[String]) -> CmdResult {
+    let args = Args::parse(args, &CHAOS)?;
+    args.no_positional("chaos")?;
+    let seed: u64 = args.get("seed", 7)?;
+    let records: usize = args.get("records", 50)?;
+    let jobs: usize = args.get("jobs", 0)?;
+    let out = args.text("out");
+    if let Some(spec) = args.text("io-faults") {
+        return chaos_io_faults(spec, seed, records, jobs, out);
     }
     let cfg = ChaosConfig {
-        levels: parse_levels(&noise)?,
-        seed: seed
-            .parse()
-            .map_err(|_| "--seed must be an integer".to_string())?,
-        records: records
-            .parse()
-            .map_err(|_| "--records must be an integer".to_string())?,
-        jobs: jobs
-            .parse()
-            .map_err(|_| "--jobs must be an integer".to_string())?,
+        levels: parse_levels(args.text("noise").unwrap_or("0..0.5")).map_err(Failure::Usage)?,
+        seed,
+        records,
+        jobs,
     };
     // SIGINT/SIGTERM stop the sweep between noise levels; the finished
     // levels are still printed and written to --out below, marked
@@ -1480,7 +1136,7 @@ fn chaos(args: &[String]) -> Result<ExitCode, String> {
             l.failed_records
         );
     }
-    if stats {
+    if args.switch("stats") {
         outln!("\nnoise   link-grammar  pattern  salvage");
         for l in &report.levels {
             outln!(
@@ -1492,18 +1148,10 @@ fn chaos(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    if !out.is_empty() {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        if out == "-" {
-            outln!("{json}");
-        } else {
-            fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
-            eprintln!("cmr: wrote chaos report to {out}");
-        }
-    }
+    write_report(out, &report, "chaos")?;
     let panics = report.total_panics();
     if panics > 0 {
-        return Err(format!("{panics} worker panic(s) during the sweep"));
+        return Err(format!("{panics} worker panic(s) during the sweep").into());
     }
     if report.interrupted {
         eprintln!(
@@ -1516,6 +1164,25 @@ fn chaos(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Writes a sweep's report as JSON to `out`, or to stdout for `-`.
+fn write_report(
+    out: Option<&str>,
+    report: &impl serde::Serialize,
+    what: &str,
+) -> Result<(), String> {
+    let Some(out) = out else {
+        return Ok(());
+    };
+    let json = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
+    if out == "-" {
+        outln!("{json}");
+    } else {
+        fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
+        eprintln!("cmr: wrote {what} report to {out}");
+    }
+    Ok(())
+}
+
 /// `cmr chaos --io-faults`: the deterministic I/O fault sweep. Runs each
 /// seeded fault schedule against an in-process journaled extraction
 /// and/or a service burst and checks the robustness invariants (clean
@@ -1523,23 +1190,17 @@ fn chaos(args: &[String]) -> Result<ExitCode, String> {
 /// liveness). Requires a `--features failpoints` build.
 fn chaos_io_faults(
     spec: &str,
-    seed: &str,
-    records: &str,
-    jobs: &str,
-    out: &str,
-) -> Result<ExitCode, String> {
+    seed: u64,
+    records: usize,
+    jobs: usize,
+    out: Option<&str>,
+) -> CmdResult {
     use cmr::bench::iofaults::{run_io_faults, IoFaultConfig};
     let cfg = IoFaultConfig {
         spec: spec.to_string(),
-        seed: seed
-            .parse()
-            .map_err(|_| "--seed must be an integer".to_string())?,
-        records: records
-            .parse()
-            .map_err(|_| "--records must be an integer".to_string())?,
-        jobs: jobs
-            .parse()
-            .map_err(|_| "--jobs must be an integer".to_string())?,
+        seed,
+        records,
+        jobs,
     };
     let report = run_io_faults(&cfg)?;
     outln!(
@@ -1566,70 +1227,53 @@ fn chaos_io_faults(
             outln!("            violation: {v}");
         }
     }
-    if !out.is_empty() {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        if out == "-" {
-            outln!("{json}");
-        } else {
-            fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
-            eprintln!("cmr: wrote io-fault report to {out}");
-        }
-    }
+    write_report(out, &report, "io-fault")?;
     let violations = report.total_violations();
     if violations > 0 {
-        return Err(format!(
-            "{violations} invariant violation(s) in the I/O fault sweep"
-        ));
+        return Err(format!("{violations} invariant violation(s) in the I/O fault sweep").into());
     }
     Ok(ExitCode::SUCCESS)
 }
+
+const LINT: FlagTable = FlagTable {
+    values: &["format", "deny"],
+    switches: &["no-color", "code"],
+};
 
 /// `cmr lint`: run the static analyzer over the committed rule assets,
 /// or — with `--code` — the CMR-S concurrency-soundness checks over the
 /// workspace's own sources. Returns the process exit code directly so a
 /// deny-threshold failure exits 1 (distinct from usage errors, exit 2).
-fn lint(args: &[String]) -> Result<ExitCode, String> {
-    let mut format = String::from("human");
-    let mut deny = String::from("errors");
-    let mut no_color = false;
-    let mut code = false;
-    let positional = parse_flags(
-        args,
-        &mut [("format", &mut format), ("deny", &mut deny)],
-        &mut [("no-color", &mut no_color), ("code", &mut code)],
-    )?;
-    if let Some(extra) = positional.first() {
-        return Err(format!(
-            "lint takes no positional arguments (got `{extra}`)"
-        ));
-    }
-    let deny = match deny.as_str() {
+fn lint(args: &[String]) -> CmdResult {
+    let args = Args::parse(args, &LINT)?;
+    args.no_positional("lint")?;
+    let deny = match args.text("deny").unwrap_or("errors") {
         "notes" => cmr::analyze::Severity::Note,
         "warnings" => cmr::analyze::Severity::Warning,
         "errors" => cmr::analyze::Severity::Error,
         other => {
-            return Err(format!(
+            return Err(usage_error(format!(
                 "--deny must be notes, warnings, or errors, got `{other}`"
-            ))
+            )))
         }
     };
-    let report = if code {
+    let report = if args.switch("code") {
         cmr::analyze::analyze_sources()
     } else {
         cmr::analyze::analyze_assets()
     };
-    match format.as_str() {
+    match args.text("format").unwrap_or("human") {
         "human" => {
             use std::io::IsTerminal as _;
-            let color = !no_color && std::io::stdout().is_terminal();
+            let color = !args.switch("no-color") && std::io::stdout().is_terminal();
             outln!("{}", report.render_human(color));
         }
         "json" => outln!("{}", report.to_json()),
         "sarif" => outln!("{}", report.to_sarif()),
         other => {
-            return Err(format!(
+            return Err(usage_error(format!(
                 "--format must be human, json, or sarif, got `{other}`"
-            ))
+            )))
         }
     }
     Ok(if report.passes(deny) {
@@ -1639,10 +1283,10 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn parse(args: &[String]) -> Result<(), String> {
+fn parse(args: &[String]) -> CmdResult {
     let sentence = args.join(" ");
     if sentence.trim().is_empty() {
-        return Err("parse needs a sentence".to_string());
+        return Err(usage_error("parse needs a sentence"));
     }
     let parser = LinkParser::new();
     match parser.parse_sentence(&sentence) {
@@ -1660,18 +1304,20 @@ fn parse(args: &[String]) -> Result<(), String> {
             outln!("verb:       [{}]", words(&c.verb));
             outln!("object:     [{}]", words(&c.object));
             outln!("supplement: [{}]", words(&c.supplement));
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
-        None => {
-            Err("no linkage (a fragment? the extractors fall back to patterns here)".to_string())
-        }
+        None => Err(
+            "no linkage (a fragment? the extractors fall back to patterns here)"
+                .to_string()
+                .into(),
+        ),
     }
 }
 
-fn terms(args: &[String]) -> Result<(), String> {
+fn terms(args: &[String]) -> CmdResult {
     let text = args.join(" ");
     if text.trim().is_empty() {
-        return Err("terms needs text".to_string());
+        return Err(usage_error("terms needs text"));
     }
     let ex = MedicalTermExtractor::new(Ontology::full());
     let hits = ex.extract(&text);
@@ -1687,5 +1333,5 @@ fn terms(args: &[String]) -> Result<(), String> {
             h.concept.semtype
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

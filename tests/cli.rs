@@ -675,3 +675,100 @@ fn lint_deny_notes_exits_one_without_usage_noise() {
         "deny failure is not a usage error"
     );
 }
+
+/// Runs `cmr ARGS` and returns (exit code, stderr).
+fn run_for_stderr(args: &[&str]) -> (Option<i32>, String) {
+    let out = cmr().args(args).output().expect("run cmr");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn bad_command_lines_exit_two_with_usage() {
+    for (args, names) in [
+        (&["extract", "--bogus", "x.txt"][..], "--bogus"),
+        (&["extract", "x.txt", "--jobs"][..], "--jobs needs a value"),
+        (
+            &["extract", "--jobs", "banana", "x.txt"][..],
+            "--jobs must be",
+        ),
+    ] {
+        let (code, stderr) = run_for_stderr(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?} prints usage: {stderr}");
+    }
+}
+
+#[test]
+fn runtime_errors_exit_two_with_one_line_and_no_usage() {
+    let missing = std::env::temp_dir().join("cmr-cli-no-such-note.txt");
+    let (code, stderr) = run_for_stderr(&["extract", missing.to_str().expect("utf-8 path")]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+    assert!(stderr.starts_with("cmr: reading "), "{stderr}");
+    assert!(
+        !stderr.contains("USAGE"),
+        "no usage for a runtime error: {stderr}"
+    );
+}
+
+#[test]
+fn generate_to_a_closed_pipe_ends_quietly() {
+    use std::io::BufRead as _;
+    let mut child = cmr()
+        .args(["generate", "--records", "2000", "--out", "-"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmr generate");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    assert!(first.starts_with('{'), "one NDJSON record: {first}");
+    // The reader is dropped here, like `| head -1` exiting.
+    let out = child.wait_with_output().expect("wait for generate");
+    assert_eq!(out.status.code(), Some(0), "a closed pipe is not an error");
+    assert!(
+        out.stderr.is_empty(),
+        "stderr stays quiet: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn serve_rejects_a_body_limit_that_overflows() {
+    // 2^44 MB is 2^64 bytes: the limit must be refused, not wrapped to 0.
+    let mut child = cmr()
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--max-body-mb",
+            "17592186044416",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmr serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve accepted --max-body-mb 17592186044416 and kept serving");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--max-body-mb"), "names the flag: {stderr}");
+}
