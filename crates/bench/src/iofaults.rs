@@ -27,7 +27,7 @@ use cmr_core::Schema;
 use cmr_corpus::CorpusBuilder;
 use cmr_engine::{
     merge_outputs, read_journal, run_journaled, shard_of, Engine, EngineConfig, JournalRun,
-    QuarantineFile, RecordSink, RetryPolicy, RunManifest,
+    QuarantineFile, RecordSink, RunManifest,
 };
 use cmr_failpoint::FailpointRegistry;
 use cmr_ontology::Ontology;
@@ -104,11 +104,10 @@ fn standard_schedules() -> Vec<&'static str> {
         "journal::append=panic@3",
         "journal::truncate=return-err@1",
         "quarantine::append=partial-write(11)@1",
-        // Panic mid-chunk: the third record-extraction attempt panics
-        // inside a 16-record dispatch chunk. Its chunk-mates must be
-        // unaffected (per-record isolation survived batching) and the
-        // retry policy heals the panicked record, so the faulted run
-        // stays byte-identical to the unfaulted baseline.
+        // Panic mid-chunk: the third record extraction panics inside a
+        // dispatch chunk. That record becomes an in-band `Panicked` error
+        // and its chunk-mates must stay byte-identical to the unfaulted
+        // baseline (per-record isolation survived batching).
         "engine::record=panic@3",
         // Sharded-run schedules: a 3-way sharded, compaction-enabled
         // extraction where one shard "dies" mid-run (the in-process
@@ -155,30 +154,16 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
         jobs: cfg.jobs,
         ..EngineConfig::default()
     };
-    // A config that poisons every record (zero sentence budget, single
-    // attempt): the only way to exercise the quarantine write path
-    // deterministically.
+    // A config that poisons every record (zero sentence budget): the only
+    // way to exercise the quarantine write path deterministically.
     let poison_cfg = EngineConfig {
         jobs: cfg.jobs,
         max_record_sentences: Some(0),
         ..EngineConfig::default()
     };
-    // Engine-surface schedules (`engine::`/`pool::` failpoints) run with
-    // retry enabled: an injected per-record panic classifies as transient
-    // and the second attempt — with the one-shot trigger spent — heals it,
-    // so the faulted run itself must already match the baseline.
-    let retry_cfg = EngineConfig {
-        jobs: cfg.jobs,
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base_delay_millis: 0,
-        },
-        ..EngineConfig::default()
-    };
     cmr_failpoint::clear();
     let baseline = unfaulted_baseline(&texts, &engine_cfg, &dir.join("baseline.out"));
     let poison_baseline = unfaulted_baseline(&texts, &poison_cfg, &dir.join("poison.out"));
-    let retry_baseline = unfaulted_baseline(&texts, &retry_cfg, &dir.join("retry.out"));
 
     let mut reports = Vec::with_capacity(schedules.len());
     for (idx, schedule) in schedules.iter().enumerate() {
@@ -193,7 +178,6 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
             _ => {
                 let (cfg, baseline) = match kind {
                     "quarantine" => (&poison_cfg, &poison_baseline),
-                    "engine" => (&retry_cfg, &retry_baseline),
                     _ => (&engine_cfg, &baseline),
                 };
                 let dir = dir.join(format!("sched-{idx}"));
@@ -224,6 +208,26 @@ fn classify(schedule: &str) -> &'static str {
     } else {
         "journal"
     }
+}
+
+/// The in-band line a record leaves when the `engine::record` failpoint
+/// panics its extraction.
+const PANICKED_LINE: &str =
+    r#"{"error":"extraction panicked: failpoint: panic injected at `engine::record`"}"#;
+
+/// The `engine` schedules' identity target: the baseline with the panicked
+/// record as its in-band error. Which record takes the N-th extraction
+/// call depends on how the pool's workers interleave, so its index is read
+/// off the faulted output; every other line must still equal the baseline.
+fn with_panicked_record(baseline: &str, faulted: &str) -> String {
+    let Some(k) = faulted.lines().position(|l| l == PANICKED_LINE) else {
+        return baseline.to_string();
+    };
+    baseline
+        .lines()
+        .enumerate()
+        .map(|(i, l)| format!("{}\n", if i == k { PANICKED_LINE } else { l }))
+        .collect()
 }
 
 /// Output of an unfaulted, unjournaled run: the identity target, written
@@ -354,6 +358,13 @@ fn run_journal_schedule(
         ));
     }
     let clean_abort = round0_aborts.iter().any(Option::is_some);
+    let expected;
+    let baseline = if kind == "engine" {
+        expected = with_panicked_record(baseline, &read(&file(0, 0, "out")));
+        expected.as_str()
+    } else {
+        baseline
+    };
 
     let mut outputs = Vec::with_capacity(ways);
     for (s, slice) in slices.iter().enumerate() {

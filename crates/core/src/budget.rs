@@ -2,19 +2,19 @@
 //!
 //! The link parser is O(n³) in sentence length and a record may contain
 //! arbitrarily many sentences, so batch drivers (see `cmr-engine`) bound
-//! the work a single record may consume. Parsing is synchronous and cannot
-//! be interrupted mid-sentence; budgets are therefore enforced at sentence
-//! granularity — before each sentence the extractor checks the deadline and
-//! the step count, and bails with [`BudgetExceeded`] instead of starting
-//! the next parse. The per-sentence word cap inside the parser bounds how
-//! far past the deadline one sentence can run.
+//! the work a single record may consume. The step count is checked before
+//! each sentence. The deadline is checked there too, and also inside the
+//! parser's region search, which abandons a sentence once the deadline
+//! passes; the extractor then ends the record with [`BudgetExceeded`]
+//! right after that sentence.
 
 use std::time::Instant;
 
 /// Work limits for one record's extraction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtractBudget {
-    /// Hard wall-clock deadline; checked before each sentence.
+    /// Hard wall-clock deadline; checked before and after each sentence
+    /// and inside the link parser's search.
     pub deadline: Option<Instant>,
     /// Maximum sentences the numeric extractor may process (the "step"
     /// budget — each step is at most one link parse).
@@ -36,18 +36,34 @@ impl ExtractBudget {
     /// Returns the error to raise before step `sentences_done`, if any
     /// limit is already exhausted.
     pub fn check(&self, sentences_done: usize) -> Result<(), BudgetExceeded> {
-        if let Some(max) = self.max_sentences {
-            if sentences_done >= max {
-                return Err(BudgetExceeded { sentences_done });
-            }
+        if self.max_sentences.is_some_and(|max| sentences_done >= max) {
+            return Err(BudgetExceeded {
+                sentences_done,
+                limit: BudgetLimit::Sentences,
+            });
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(BudgetExceeded { sentences_done });
-            }
+        self.check_deadline(sentences_done)
+    }
+
+    /// Returns the error to raise once the deadline has passed.
+    pub fn check_deadline(&self, sentences_done: usize) -> Result<(), BudgetExceeded> {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(BudgetExceeded {
+                sentences_done,
+                limit: BudgetLimit::Deadline,
+            });
         }
         Ok(())
     }
+}
+
+/// Which limit of an [`ExtractBudget`] tripped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BudgetLimit {
+    /// The wall-clock deadline passed.
+    Deadline,
+    /// The sentence (step) cap was reached.
+    Sentences,
 }
 
 /// A record exceeded its [`ExtractBudget`].
@@ -55,13 +71,19 @@ impl ExtractBudget {
 pub struct BudgetExceeded {
     /// Sentences fully processed before the budget ran out.
     pub sentences_done: usize,
+    /// The limit that tripped.
+    pub limit: BudgetLimit,
 }
 
 impl std::fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let limit = match self.limit {
+            BudgetLimit::Deadline => "deadline",
+            BudgetLimit::Sentences => "sentence budget",
+        };
         write!(
             f,
-            "extraction budget exceeded after {} sentence(s)",
+            "extraction {limit} exceeded after {} sentence(s)",
             self.sentences_done
         )
     }
@@ -87,7 +109,13 @@ mod tests {
             ..ExtractBudget::NONE
         };
         assert!(b.check(2).is_ok());
-        assert_eq!(b.check(3), Err(BudgetExceeded { sentences_done: 3 }));
+        assert_eq!(
+            b.check(3),
+            Err(BudgetExceeded {
+                sentences_done: 3,
+                limit: BudgetLimit::Sentences
+            })
+        );
     }
 
     #[test]
@@ -96,7 +124,7 @@ mod tests {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..ExtractBudget::NONE
         };
-        assert!(b.check(0).is_err());
+        assert_eq!(b.check(0).map_err(|e| e.limit), Err(BudgetLimit::Deadline));
         let b = ExtractBudget {
             deadline: Some(Instant::now() + Duration::from_secs(3600)),
             ..ExtractBudget::NONE

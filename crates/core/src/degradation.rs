@@ -20,8 +20,8 @@ pub enum ParseFailureKind {
     NoDisjuncts,
     /// Disjuncts exist but no planar connected linkage does.
     NoLinkage,
-    /// The search was abandoned by an external deadline (engine watchdog),
-    /// not exhausted.
+    /// The search was abandoned because the record's deadline passed, not
+    /// exhausted.
     Cancelled,
 }
 
@@ -61,9 +61,9 @@ impl ParseFailureCounts {
             ParseFailureKind::TooLong => self.too_long += 1,
             ParseFailureKind::NoDisjuncts => self.no_disjuncts += 1,
             ParseFailureKind::NoLinkage => self.no_linkage += 1,
-            // Not a counter: a cancelled parse belongs to a record the
-            // engine then fails wholesale as a timeout, so its (discarded)
-            // counts must keep the serialized shape of successful records.
+            // Not a counter: a cancelled parse ends its record with the
+            // deadline error, so its (discarded) counts must keep the
+            // serialized shape of successful records.
             ParseFailureKind::Cancelled => {}
         }
     }

@@ -67,7 +67,11 @@ mod tests {
 
     #[test]
     fn displays_and_converts() {
-        let e: CmrError = crate::BudgetExceeded { sentences_done: 7 }.into();
+        let e: CmrError = crate::BudgetExceeded {
+            sentences_done: 7,
+            limit: crate::BudgetLimit::Sentences,
+        }
+        .into();
         assert!(e.to_string().contains("7 sentences"));
         let e: CmrError = cmr_linkgram::ParseFailure::NoLinkage.into();
         assert_eq!(e, CmrError::Parse(crate::ParseFailureKind::NoLinkage));

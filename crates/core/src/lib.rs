@@ -40,7 +40,7 @@ mod schema;
 mod spec;
 mod terms;
 
-pub use budget::{BudgetExceeded, ExtractBudget};
+pub use budget::{BudgetExceeded, BudgetLimit, ExtractBudget};
 pub use categorical::{CategoricalExtractor, FeatureExtractor, FeatureOptions};
 pub use degradation::{ParseFailureCounts, ParseFailureKind};
 pub use error::CmrError;

@@ -142,14 +142,6 @@ impl NumericExtractor {
         self.parser.set_shared_cache(cache);
     }
 
-    /// Installs a cooperative-cancellation flag on the link parser (see
-    /// [`cmr_linkgram::LinkParser::set_cancel_flag`]): while the flag is
-    /// raised, in-flight parses abandon work instead of running the full
-    /// O(n³) search.
-    pub fn set_cancel_flag(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.parser.set_cancel_flag(flag);
-    }
-
     /// Link-parser cache and timing counters (see
     /// [`cmr_linkgram::ParserStats`]).
     pub fn parser_stats(&self) -> cmr_linkgram::ParserStats {
@@ -173,7 +165,8 @@ impl NumericExtractor {
     /// Like [`NumericExtractor::extract_parsed`], but bails with
     /// [`crate::BudgetExceeded`] once the budget runs out. The budget is
     /// checked before each sentence (each sentence is at most one link
-    /// parse, the dominant cost); hits gathered so far are discarded —
+    /// parse, the dominant cost), and the link parser abandons a search
+    /// that runs past the deadline; hits gathered so far are discarded —
     /// batch drivers treat a tripped budget as a per-record failure.
     pub fn extract_budgeted(
         &self,
@@ -190,6 +183,20 @@ impl NumericExtractor {
     /// an extraction opportunity (a feature mention with an unfilled spec)
     /// are counted — see [`crate::ParseFailureCounts`].
     pub fn extract_counted(
+        &self,
+        record: &Record,
+        specs: &[FeatureSpec],
+        budget: &crate::ExtractBudget,
+    ) -> Result<(Vec<NumericHit>, crate::ParseFailureCounts), crate::BudgetExceeded> {
+        self.parser.set_deadline(budget.deadline);
+        let result = self.extract_within(record, specs, budget);
+        self.parser.set_deadline(None);
+        result
+    }
+
+    /// The body of [`NumericExtractor::extract_counted`], run while the
+    /// parser holds the record's deadline.
+    fn extract_within(
         &self,
         record: &Record,
         specs: &[FeatureSpec],
@@ -212,6 +219,10 @@ impl NumericExtractor {
                     &mut failures,
                 );
                 sentences_done += 1;
+                // A parse the deadline cancelled fell back to the patterns
+                // mid-search, so this sentence's hits depend on when the
+                // deadline landed: end the record here instead.
+                budget.check_deadline(sentences_done)?;
                 for hit in found {
                     if !hits.iter().any(|h| h.field == hit.field) {
                         hits.push(hit);

@@ -131,15 +131,6 @@ impl Pipeline {
         self
     }
 
-    /// Installs a cooperative-cancellation flag on the link parser. The
-    /// engine's watchdog raises it when a record exceeds its wall-clock
-    /// deadline, so a pathological sentence cannot pin a worker inside the
-    /// O(n³) search.
-    pub fn with_cancel_flag(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Pipeline {
-        self.numeric.set_cancel_flag(flag);
-        self
-    }
-
     /// The schema in use.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -167,8 +158,9 @@ impl Pipeline {
 
     /// Like [`Pipeline::extract_parsed`], but enforces a per-record
     /// [`crate::ExtractBudget`]. The sentence/step budget applies to the
-    /// numeric stage (where the link parser lives); the deadline is also
-    /// re-checked between term sections.
+    /// numeric stage (where the link parser lives); the deadline also
+    /// bounds each link parse and is re-checked between term fields and
+    /// salvage scans.
     pub fn extract_budgeted(
         &self,
         record: &Record,
@@ -195,11 +187,7 @@ impl Pipeline {
         // Medical-term attributes. Term extraction has no step notion, but
         // the deadline still applies between term fields.
         for term_field in &self.schema.terms {
-            if let Some(deadline) = budget.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return Err(crate::BudgetExceeded { sentences_done: 0 });
-                }
-            }
+            budget.check_deadline(0)?;
             let (predefined_set, slots) = match term_field.name.as_str() {
                 "past_medical_history" => (
                     &self.predefined_medical,
@@ -253,11 +241,7 @@ impl Pipeline {
                 if out.numeric.contains_key(&spec.name) {
                     continue;
                 }
-                if let Some(deadline) = budget.deadline {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(crate::BudgetExceeded { sentences_done: 0 });
-                    }
-                }
+                budget.check_deadline(0)?;
                 let routed = join_bodies(record, Some(&spec.sections));
                 let text = if routed.is_empty() {
                     join_bodies(record, None)

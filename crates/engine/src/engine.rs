@@ -5,10 +5,10 @@ use crate::metrics::{
     COLLECTOR_LOCK_CLASS,
 };
 use crate::pool::{panic_message, run_ordered, PoolConfig};
-use crate::retry::{is_transient, AttemptRecord, QuarantineEntry, QuarantineFile, RetryPolicy};
-use crate::watchdog::Watchdog;
+use crate::quarantine::{QuarantineEntry, QuarantineFile};
 use cmr_core::{
-    AssociationMethod, BudgetExceeded, ExtractBudget, ExtractedRecord, PatternSet, Pipeline, Schema,
+    AssociationMethod, BudgetExceeded, BudgetLimit, ExtractBudget, ExtractedRecord, PatternSet,
+    Pipeline, Schema,
 };
 use cmr_ontology::Ontology;
 use cmr_sync::TrackedMutex;
@@ -26,7 +26,9 @@ pub struct EngineConfig {
     pub jobs: usize,
     /// Bound of the input queue (records buffered ahead of the workers).
     pub queue_depth: usize,
-    /// Per-record wall-clock budget, milliseconds.
+    /// Per-record wall-clock budget, milliseconds. The link parser checks
+    /// it inside its search, so one pathological sentence cannot run far
+    /// past it.
     pub max_record_millis: Option<u64>,
     /// Per-record sentence (link-parse step) budget.
     pub max_record_sentences: Option<usize>,
@@ -38,10 +40,6 @@ pub struct EngineConfig {
     /// missed. On by default; ablations turn it off to isolate the
     /// structured methods.
     pub salvage: bool,
-    /// Bounded retry with exponential backoff for transiently failing
-    /// records (see [`crate::retry::RetryPolicy`]). The default policy
-    /// (one attempt) disables retry.
-    pub retry: RetryPolicy,
 }
 
 impl Default for EngineConfig {
@@ -54,7 +52,6 @@ impl Default for EngineConfig {
             method: AssociationMethod::LinkWithFallback,
             term_patterns: PatternSet::Paper,
             salvage: true,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -81,15 +78,13 @@ pub enum EngineError {
         /// The panic message.
         message: String,
     },
-    /// The record exceeded its time or sentence budget.
+    /// The record reached its sentence budget.
     Budget {
         /// Sentences fully processed before the budget tripped.
         sentences_done: usize,
     },
-    /// The stuck-worker watchdog cancelled the record: its wall-clock
-    /// deadline passed while the link parser was mid-search. Distinct from
-    /// [`EngineError::Budget`], where the record tripped its budget at an
-    /// ordinary between-sentence check.
+    /// The record ran past its wall-clock deadline, whether the deadline
+    /// passed between sentences or cancelled a link parse mid-search.
     Timeout {
         /// The deadline that was exceeded, milliseconds.
         millis: u64,
@@ -110,7 +105,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "budget exceeded after {sentences_done} sentence(s)")
             }
             EngineError::Timeout { millis } => {
-                write!(f, "watchdog cancelled the record after {millis} ms")
+                write!(f, "record exceeded its {millis} ms deadline")
             }
             EngineError::Lint { message } => {
                 write!(f, "rule assets failed the startup lint:\n{message}")
@@ -176,9 +171,9 @@ impl Engine {
         }
     }
 
-    /// Attaches a poison-quarantine file: records that exhaust the retry
-    /// budget on a transient error are appended there (exactly once each)
-    /// instead of only surfacing as per-item errors.
+    /// Attaches a poison-quarantine file: every record that fails is
+    /// appended there (exactly once) as well as surfacing as a per-item
+    /// error.
     pub fn with_quarantine(mut self, quarantine: QuarantineFile) -> Engine {
         self.quarantine = Some(Arc::new(quarantine));
         self
@@ -260,17 +255,9 @@ impl Engine {
         let salvage = self.cfg.salvage;
         let max_record_millis = self.cfg.max_record_millis;
         let max_record_sentences = self.cfg.max_record_sentences;
-        let retry = self.cfg.retry;
         let quarantine = self.quarantine.clone();
         let worker_collector = Arc::clone(&collector);
         let panic_collector = Arc::clone(&collector);
-
-        // The watchdog exists only when a wall-clock deadline does: it
-        // shares a cancellation flag with each worker's link parser and
-        // cancels any record still in flight past the deadline.
-        let watchdog = max_record_millis.map(|ms| Watchdog::new(jobs, ms));
-        let watchdog_thread = watchdog.as_ref().map(Watchdog::spawn);
-        let worker_watchdog = watchdog.clone();
 
         let pool_stats = run_ordered(
             inputs,
@@ -282,15 +269,11 @@ impl Engine {
             },
             // Each worker constructs its pipeline inside its own thread:
             // the pipeline is !Send, only the Arc'd config crosses threads.
-            move |widx| {
-                let mut pipeline = Pipeline::new(Arc::clone(schema), Arc::clone(ontology), method)
+            move |_widx| {
+                let pipeline = Pipeline::new(Arc::clone(schema), Arc::clone(ontology), method)
                     .with_term_patterns(term_patterns)
                     .with_salvage(salvage)
                     .with_shared_parse_cache(parse_cache.clone());
-                let watchdog = worker_watchdog.clone();
-                if let Some(wd) = &watchdog {
-                    pipeline = pipeline.with_cancel_flag(wd.cancel_flag(widx));
-                }
                 // Worker-private metrics: records accumulate lock-free
                 // here and fold into the shared collector exactly once,
                 // when the worker closure drops at pool drain (inside the
@@ -299,34 +282,24 @@ impl Engine {
                 let quarantine = quarantine.clone();
                 move |idx: usize, text: String| {
                     let ctx = WorkerCtx {
-                        widx,
                         pipeline: &pipeline,
                         max_record_millis,
                         max_record_sentences,
-                        retry,
-                        watchdog: watchdog.as_deref(),
                         quarantine: quarantine.as_deref(),
                         collector: &sink,
                     };
-                    extract_with_retry(&ctx, idx, &text)
+                    extract_isolated(&ctx, idx, &text)
                 }
             },
-            // Backstop only: panics are normally caught (and retried) per
-            // attempt inside the worker; this path fires only if something
-            // outside the retry loop unwinds.
+            // Backstop only: panics are normally caught per record inside
+            // the worker; this path fires only if something outside
+            // `extract_isolated`'s guard unwinds.
             move |message| {
                 lock_collector(&panic_collector).errors.panics += 1;
                 EngineError::Panicked { message }
             },
             sink,
         );
-
-        if let Some(wd) = &watchdog {
-            wd.stop();
-        }
-        if let Some(handle) = watchdog_thread {
-            let _ = handle.join();
-        }
 
         let wall_nanos = start.elapsed().as_nanos() as u64;
         let collector = lock_collector(&collector);
@@ -393,119 +366,76 @@ fn fnv1a_str(s: &str) -> u64 {
     hash
 }
 
-/// Everything one worker needs to process (and possibly re-process) a
-/// record: pipeline, budgets, durability hooks, metrics. Shared with the
-/// resident-service workers (`crate::service`), which bracket the same
-/// retry/watchdog/metrics machinery around one HTTP request at a time.
-/// Metrics flow through the worker-local [`MetricsSink`] — per-record
-/// updates never touch the run-wide collector lock.
+/// Everything one worker needs to process a record: pipeline, budgets,
+/// quarantine, metrics. Shared with the resident-service workers
+/// (`crate::service`), which run the same guarded extraction around one
+/// HTTP request at a time. Metrics flow through the worker-local
+/// [`MetricsSink`] — per-record updates never touch the run-wide
+/// collector lock.
 pub(crate) struct WorkerCtx<'a> {
-    pub(crate) widx: usize,
     pub(crate) pipeline: &'a Pipeline,
     pub(crate) max_record_millis: Option<u64>,
     pub(crate) max_record_sentences: Option<usize>,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) watchdog: Option<&'a Watchdog>,
     pub(crate) quarantine: Option<&'a QuarantineFile>,
     pub(crate) collector: &'a MetricsSink,
 }
 
-/// Runs one record through the bounded-retry loop: each attempt is
-/// individually panic-caught and watchdog-bracketed; transient failures
-/// back off and retry; the final outcome is counted in the metrics
-/// exactly once, and a record that exhausts its attempts on a transient
-/// error is appended to the quarantine (when one is attached).
-pub(crate) fn extract_with_retry(
+/// Runs one record under one `catch_unwind`, counts its outcome in the
+/// metrics exactly once, and appends a failed record to the quarantine
+/// (when one is attached). The pipeline holds no cross-record invariants
+/// (caches are valid at every unwind point), so the worker keeps using it
+/// after a caught panic.
+pub(crate) fn extract_isolated(
     ctx: &WorkerCtx<'_>,
     idx: usize,
     text: &str,
 ) -> Result<ExtractedRecord, EngineError> {
-    let attempts_allowed = ctx.retry.attempts();
-    let mut attempts: Vec<AttemptRecord> = Vec::new();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        if let Some(wd) = ctx.watchdog {
-            wd.begin(ctx.widx);
+    let error = match catch_unwind(AssertUnwindSafe(|| extract_one(ctx, text))) {
+        Ok(Ok((out, sample))) => {
+            ctx.collector.with(|c| c.record_ok(sample, &out));
+            return Ok(out);
         }
-        // Per-attempt catch_unwind so a panicking attempt can be retried;
-        // the pool's own catch_unwind remains as a backstop. The pipeline
-        // holds no cross-record invariants (caches are valid at every
-        // unwind point), so resuming with it after a caught panic is safe.
-        let outcome = catch_unwind(AssertUnwindSafe(|| extract_one(ctx, text)));
-        let timed_out = ctx.watchdog.is_some_and(|wd| wd.end(ctx.widx));
-        let error = match outcome {
-            Err(payload) => EngineError::Panicked {
-                message: panic_message(payload.as_ref()),
-            },
-            // A cancelled attempt fails wholesale as a timeout even if
-            // extraction limped to an Ok on the pattern fallback: its
-            // fields would silently depend on *when* the cancellation
-            // landed, and `parse_failures` drops `Cancelled` parse
-            // failures on the assumption the whole record is discarded.
-            Ok(_) if timed_out => EngineError::Timeout {
+        Ok(Err(exceeded)) => match exceeded.limit {
+            BudgetLimit::Deadline => EngineError::Timeout {
                 millis: ctx.max_record_millis.unwrap_or(0),
             },
-            Ok(Ok((out, sample))) => {
-                ctx.collector.with(|c| c.record_ok(sample, &out));
-                return Ok(out);
-            }
-            Ok(Err(exceeded)) => EngineError::Budget {
+            BudgetLimit::Sentences => EngineError::Budget {
                 sentences_done: exceeded.sentences_done,
             },
-        };
-        if attempt < attempts_allowed && is_transient(&error) {
-            let backoff = ctx.retry.backoff_millis(attempt);
-            attempts.push(AttemptRecord {
-                attempt,
-                error,
-                backoff_millis: backoff,
-            });
-            ctx.collector.with(|c| c.retries += 1);
-            std::thread::sleep(Duration::from_millis(backoff));
-            continue;
-        }
-        // Final outcome: count it exactly once, quarantine if poison.
-        ctx.collector.with(|c| match &error {
-            EngineError::Panicked { .. } => c.errors.panics += 1,
-            EngineError::Budget { .. } => c.errors.budget += 1,
-            EngineError::Timeout { .. } => c.errors.timeouts += 1,
-            EngineError::Lint { .. } => {}
+        },
+        Err(payload) => EngineError::Panicked {
+            message: panic_message(payload.as_ref()),
+        },
+    };
+    ctx.collector.with(|c| match &error {
+        EngineError::Panicked { .. } => c.errors.panics += 1,
+        EngineError::Budget { .. } => c.errors.budget += 1,
+        EngineError::Timeout { .. } => c.errors.timeouts += 1,
+        EngineError::Lint { .. } => {}
+    });
+    if let Some(q) = ctx.quarantine {
+        let written = q.append(&QuarantineEntry {
+            index: idx,
+            text: text.to_string(),
+            error: error.clone(),
         });
-        if is_transient(&error) {
-            if let Some(q) = ctx.quarantine {
-                attempts.push(AttemptRecord {
-                    attempt,
-                    error: error.clone(),
-                    backoff_millis: 0,
-                });
-                let written = q.append(&QuarantineEntry {
-                    index: idx,
-                    text: text.to_string(),
-                    error: error.clone(),
-                    attempts,
-                });
-                if written {
-                    ctx.collector.with(|c| c.quarantined += 1);
-                }
-            }
+        if written {
+            ctx.collector.with(|c| c.quarantined += 1);
         }
-        return Err(error);
     }
+    Err(error)
 }
 
 /// Processes one record on a worker: parse, budgeted extraction. Returns
-/// the record plus its parse-cache sample; ALL metrics recording and
-/// failure classification live in [`extract_with_retry`], so retried or
-/// cancelled attempts are never multi-counted.
+/// the record plus its parse-cache sample; all metrics recording and
+/// failure classification live in [`extract_isolated`].
 fn extract_one(
     ctx: &WorkerCtx<'_>,
     text: &str,
 ) -> Result<(ExtractedRecord, RecordSample), BudgetExceeded> {
-    // Inside the per-attempt catch_unwind: an injected `panic` action is
-    // contained to this record (its chunk-mates survive) and, being
-    // transient, heals under a retry policy — which is exactly what the
-    // chaos panic-mid-chunk schedule asserts. `io_inject` enacts panic
+    // Inside `extract_isolated`'s catch_unwind: an injected `panic` action
+    // is contained to this record (its chunk-mates survive), which is what
+    // the chaos panic-mid-chunk schedule asserts. `io_inject` enacts panic
     // and delay; error-shaped actions have no I/O here to poison.
     let _ = cmr_failpoint::io_inject("engine::record");
     let budget = ExtractBudget {
@@ -616,6 +546,26 @@ mod tests {
         }
         assert_eq!(out.metrics.errors.budget, 2);
         assert_eq!(out.metrics.records, 0);
+    }
+
+    #[test]
+    fn deadline_between_sentences_is_a_timeout_not_a_budget_trip() {
+        // A zero-millisecond deadline has passed by the first sentence
+        // check, before any parse starts.
+        let cfg = EngineConfig {
+            jobs: 1,
+            max_record_millis: Some(0),
+            ..EngineConfig::default()
+        };
+        let out =
+            Engine::new(cfg, Schema::paper(), Ontology::full()).extract_batch(&[APPENDIX_RECORD]);
+        assert!(
+            matches!(out.items[0], Err(EngineError::Timeout { millis: 0 })),
+            "{:?}",
+            out.items[0]
+        );
+        assert_eq!(out.metrics.errors.timeouts, 1);
+        assert_eq!(out.metrics.errors.budget, 0);
     }
 
     #[test]

@@ -748,13 +748,8 @@ pub fn verify_output_prefix<R: BufRead>(
 /// with a different `--jobs` is sound and allowed.
 pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     let key = format!(
-        "{:?}|{:?}|{}|{:?}|{:?}|{:?}",
-        cfg.method,
-        cfg.term_patterns,
-        cfg.salvage,
-        cfg.max_record_millis,
-        cfg.max_record_sentences,
-        cfg.retry,
+        "{:?}|{:?}|{}|{:?}|{:?}",
+        cfg.method, cfg.term_patterns, cfg.salvage, cfg.max_record_millis, cfg.max_record_sentences,
     );
     fnv1a(key.as_bytes(), FNV_OFFSET)
 }

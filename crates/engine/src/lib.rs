@@ -13,17 +13,19 @@
 //! * **Determinism** — results are emitted strictly in input order, so
 //!   `--jobs 8` output is byte-identical to `--jobs 1`.
 //! * **Fault isolation** — a panicking or over-budget record becomes a
-//!   structured [`EngineError`] item; the batch survives.
+//!   structured [`EngineError`] item; the batch survives. A record's
+//!   wall-clock deadline is checked between sentences and inside the link
+//!   parser's search, so a pathological sentence ends as
+//!   [`EngineError::Timeout`] without a monitor thread.
 //! * **Metrics** — a serializable [`EngineMetrics`] snapshot: throughput,
 //!   per-stage wall-time histograms, link-parser cache hit rates,
 //!   association-method counts, error counts.
 //! * **Durability** — a write-ahead journal ([`JournalWriter`]) of
 //!   completed records with crash-recovery resume ([`run_journaled`],
-//!   the one journaled-run loop the CLI and the fault sweep share),
-//!   bounded retry ([`RetryPolicy`]) with a poison quarantine
-//!   ([`QuarantineFile`]), a stuck-worker watchdog that cancels
-//!   over-deadline parses ([`EngineError::Timeout`]), and graceful
-//!   shutdown ([`Engine::with_shutdown`]) that drains in-flight records.
+//!   the one journaled-run loop the CLI and the fault sweep share), a
+//!   poison quarantine for failed records ([`QuarantineFile`]), and
+//!   graceful shutdown ([`Engine::with_shutdown`]) that drains in-flight
+//!   records.
 //!
 //! ```
 //! use cmr_engine::{Engine, EngineConfig};
@@ -52,10 +54,9 @@ mod journal;
 mod journaled;
 mod metrics;
 mod pool;
-mod retry;
+mod quarantine;
 mod service;
 mod shard;
-mod watchdog;
 
 pub use engine::{
     asset_fingerprint, startup_lint_summary, BatchOutput, Engine, EngineConfig, EngineError,
@@ -72,8 +73,6 @@ pub use metrics::{
     DegradationTotals, DurationHistogram, EngineMetrics, ErrorCounts, MethodCounts,
     ParseCacheMetrics, ServiceLatency, HISTOGRAM_BUCKETS,
 };
-pub use retry::{
-    is_transient, read_quarantine, AttemptRecord, QuarantineEntry, QuarantineFile, RetryPolicy,
-};
+pub use quarantine::{read_quarantine, QuarantineEntry, QuarantineFile};
 pub use service::{LatencyKind, ServiceHandle, ServiceWorker};
 pub use shard::{merge_outputs, merge_quarantine, shard_of, ShardSpec};

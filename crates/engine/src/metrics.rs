@@ -235,8 +235,8 @@ pub struct ErrorCounts {
     pub panics: u64,
     /// Records that exceeded the per-record budget.
     pub budget: u64,
-    /// Records cancelled by the stuck-worker watchdog (wall-clock
-    /// deadline exceeded mid-parse).
+    /// Records that ran past their wall-clock deadline (between sentences
+    /// or mid-parse).
     pub timeouts: u64,
 }
 
@@ -276,11 +276,7 @@ pub struct EngineMetrics {
     /// Warning-severity findings from the startup asset lint (the run
     /// proceeds; `Error` findings fail the batch before it starts).
     pub lint_warnings: u64,
-    /// Retry attempts beyond each record's first (the durable-run retry
-    /// policy); counts attempts, not records.
-    pub retries: u64,
-    /// Records appended to the poison-quarantine file after exhausting
-    /// their retry budget on a transient error.
+    /// Failed records appended to the poison-quarantine file.
     pub quarantined: u64,
     /// Request-latency histograms (resident service only; empty for
     /// batch runs).
@@ -306,7 +302,6 @@ impl EngineMetrics {
             methods: c.methods,
             degradation: c.degradation,
             lint_warnings: 0,
-            retries: c.retries,
             quarantined: c.quarantined,
             service: c.service.clone(),
             channel_wait_nanos: 0,
@@ -374,7 +369,6 @@ impl EngineMetrics {
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
         self.lint_warnings += other.lint_warnings;
-        self.retries += other.retries;
         self.quarantined += other.quarantined;
         self.service.merge(&other.service);
         self.channel_wait_nanos += other.channel_wait_nanos;
@@ -407,7 +401,6 @@ pub(crate) struct MetricsCollector {
     pub parse_cache: ParseCacheMetrics,
     pub methods: MethodCounts,
     pub degradation: DegradationTotals,
-    pub retries: u64,
     pub quarantined: u64,
     pub service: ServiceLatency,
 }
@@ -432,7 +425,6 @@ impl MetricsCollector {
         self.parse_cache.misses += other.parse_cache.misses;
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
-        self.retries += other.retries;
         self.quarantined += other.quarantined;
         self.service.merge(&other.service);
     }
@@ -599,7 +591,6 @@ mod tests {
         );
         c.errors.panics = 1;
         c.errors.timeouts = 2;
-        c.retries = 3;
         c.quarantined = 1;
         let mut m = EngineMetrics::from_collector(&c, 4, 2_000_000_000);
         m.channel_wait_nanos = 123_456_789;
@@ -621,7 +612,6 @@ mod tests {
         assert_eq!(back.degradation.degraded_records, 1);
         assert_eq!(back.errors.timeouts, 2);
         assert_eq!(back.errors.total(), 3);
-        assert_eq!(back.retries, 3);
         assert_eq!(back.quarantined, 1);
     }
 
@@ -687,21 +677,21 @@ mod tests {
         ));
         {
             let sink = MetricsSink::new(Arc::clone(&global));
-            sink.with(|c| c.retries += 2);
+            sink.with(|c| c.quarantined += 2);
             assert_eq!(
-                lock_collector(&global).retries,
+                lock_collector(&global).quarantined,
                 0,
                 "local counts must not leak before publish"
             );
             sink.publish();
-            assert_eq!(lock_collector(&global).retries, 2);
+            assert_eq!(lock_collector(&global).quarantined, 2);
             // Publish resets the local side: no double counting.
             sink.publish();
-            assert_eq!(lock_collector(&global).retries, 2);
+            assert_eq!(lock_collector(&global).quarantined, 2);
             sink.with(|c| c.errors.panics += 1);
         } // drop publishes the remainder
         let c = lock_collector(&global);
-        assert_eq!(c.retries, 2);
+        assert_eq!(c.quarantined, 2);
         assert_eq!(c.errors.panics, 1);
     }
 

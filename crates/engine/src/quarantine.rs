@@ -1,18 +1,12 @@
-//! Bounded retry with exponential backoff, and the poison quarantine.
+//! The poison quarantine.
 //!
-//! Transient failures — a wall-clock budget trip on a loaded machine, a
-//! watchdog timeout, a panic whose trigger was environmental — are worth a
-//! bounded number of re-attempts with exponential backoff. Failures that
-//! are deterministic properties of the input (a sentence budget on an
-//! oversized note) fail the same way every time; retrying them burns the
-//! batch's time for nothing, so the engine distinguishes the two classes
-//! via [`is_transient`].
-//!
-//! A record that exhausts its attempts on a transient error is *poison*:
-//! the engine reports it as a per-item error (the batch keeps going) and,
-//! when a [`QuarantineFile`] is attached, appends one NDJSON entry with
-//! the record text, its final typed error, and the full attempt history —
-//! enough to replay the record in isolation later.
+//! A record whose extraction fails (it panics, trips its sentence budget,
+//! or runs past its deadline) is reported as a per-item error and the
+//! batch keeps going. When a [`QuarantineFile`] is attached, the engine
+//! also appends one NDJSON entry with the record text and its typed error
+//! — enough to replay the record in isolation later. Extraction is a pure
+//! function of the note, so the record is never re-run: a second attempt
+//! would fail the same way.
 
 use crate::engine::EngineError;
 use serde::{Deserialize, Serialize};
@@ -21,66 +15,6 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Upper bound on a single backoff sleep, milliseconds.
-const MAX_BACKOFF_MILLIS: u64 = 1_000;
-
-/// Bounded-retry policy for transiently failing records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per record (first try included). `1` — the default —
-    /// disables retry entirely; `0` is treated as `1`.
-    pub max_attempts: u32,
-    /// Backoff before attempt `k+1` is `base_delay_millis * 2^(k-1)`,
-    /// capped at one second.
-    pub base_delay_millis: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay_millis: 25,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Total attempts, normalized to at least one.
-    pub fn attempts(&self) -> u32 {
-        self.max_attempts.max(1)
-    }
-
-    /// Backoff after failed attempt `attempt` (1-based), milliseconds.
-    /// Deterministic — no jitter — so runs are reproducible.
-    pub fn backoff_millis(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(16);
-        self.base_delay_millis
-            .saturating_mul(1u64 << shift)
-            .min(MAX_BACKOFF_MILLIS)
-    }
-}
-
-/// Whether an error class is worth retrying. Panics and wall-clock trips
-/// (budget, watchdog timeout) can be environmental; aborts and lint
-/// failures are deterministic verdicts about the run, not the record.
-pub fn is_transient(error: &EngineError) -> bool {
-    matches!(
-        error,
-        EngineError::Panicked { .. } | EngineError::Budget { .. } | EngineError::Timeout { .. }
-    )
-}
-
-/// One failed attempt in a quarantine entry's history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttemptRecord {
-    /// 1-based attempt number.
-    pub attempt: u32,
-    /// The typed error this attempt ended with.
-    pub error: EngineError,
-    /// Backoff slept after this attempt (0 for the final one).
-    pub backoff_millis: u64,
-}
-
 /// One poisoned record, as serialized into the quarantine file.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantineEntry {
@@ -88,10 +22,8 @@ pub struct QuarantineEntry {
     pub index: usize,
     /// The full record text, so the entry is self-contained for replay.
     pub text: String,
-    /// The error of the final attempt.
+    /// Why the record failed.
     pub error: EngineError,
-    /// Every attempt, in order (the final one included).
-    pub attempts: Vec<AttemptRecord>,
 }
 
 /// An append-only NDJSON file of poisoned records, shared by the pool's
@@ -162,7 +94,6 @@ impl QuarantineFile {
                 index: self.index_base + entry.index * self.index_stride,
                 text: entry.text.clone(),
                 error: entry.error.clone(),
-                attempts: entry.attempts.clone(),
             };
             &mapped
         };
@@ -200,38 +131,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_delay_millis: 25,
-        };
-        assert_eq!(p.backoff_millis(1), 25);
-        assert_eq!(p.backoff_millis(2), 50);
-        assert_eq!(p.backoff_millis(3), 100);
-        assert_eq!(p.backoff_millis(7), 1_000, "capped at one second");
-        assert_eq!(p.backoff_millis(40), 1_000, "shift saturates, no overflow");
-    }
-
-    #[test]
-    fn transient_classification() {
-        assert!(is_transient(&EngineError::Budget { sentences_done: 3 }));
-        assert!(is_transient(&EngineError::Timeout { millis: 50 }));
-        assert!(is_transient(&EngineError::Panicked {
-            message: "boom".into()
-        }));
-        assert!(!is_transient(&EngineError::Lint {
-            message: "bad asset".into()
-        }));
-    }
-
-    #[test]
     fn quarantine_index_mapping_and_append_reopen() {
         let path = std::env::temp_dir().join(format!("cmr-quar-map-{}.ndjson", std::process::id()));
         let entry = |index| QuarantineEntry {
             index,
             text: "note".into(),
             error: EngineError::Timeout { millis: 50 },
-            attempts: vec![],
         };
         // Shard 1 of 3: local index 2 is global index 1 + 2*3 = 7.
         let q = QuarantineFile::create(&path)
@@ -263,18 +168,6 @@ mod tests {
             index: 7,
             text: "Patient: 1\nPulse is 84.\n".into(),
             error: EngineError::Timeout { millis: 50 },
-            attempts: vec![
-                AttemptRecord {
-                    attempt: 1,
-                    error: EngineError::Budget { sentences_done: 2 },
-                    backoff_millis: 25,
-                },
-                AttemptRecord {
-                    attempt: 2,
-                    error: EngineError::Timeout { millis: 50 },
-                    backoff_millis: 0,
-                },
-            ],
         };
         assert!(q.append(&entry));
         let back = read_quarantine(&path).unwrap();

@@ -1,7 +1,7 @@
 //! Resident-service support: the engine's warm state, held across requests.
 //!
-//! The batch engine ([`crate::Engine`]) builds its world per run — shared
-//! parse cache, watchdog, metrics collector all live for one
+//! The batch engine ([`crate::Engine`]) builds its world per run — the
+//! shared parse cache and the metrics collector live for one
 //! `extract_stream` call. A resident process (`cmr serve`) needs the same
 //! pieces to live for the *process*: the first request warms the caches and
 //! every later request benefits. [`ServiceHandle`] is that long-lived core:
@@ -10,8 +10,6 @@
 //!   interner, which is warm by construction),
 //! * the once-per-process startup lint gate — a handle cannot be built
 //!   over broken rule assets,
-//! * one [`Watchdog`] monitoring every service worker for the process
-//!   lifetime (when a per-request deadline is configured),
 //! * one metrics collector accumulating [`EngineMetrics`] since startup,
 //!   including the request-latency histograms in
 //!   [`EngineMetrics::service`].
@@ -19,23 +17,18 @@
 //! Each server worker thread builds a [`ServiceWorker`] (the pipeline is
 //! `!Sync`; per-thread construction is the same pattern the pool uses) and
 //! calls [`ServiceWorker::extract`] once per request. Extraction runs
-//! through the exact retry/watchdog/panic-isolation path as batch records
-//! (`extract_with_retry`), so a poison request costs one worker one
+//! through the same budget and panic-isolation path as batch records
+//! (`extract_isolated`), so a poison request costs one worker at most one
 //! deadline, never the process.
 
-use crate::engine::{
-    extract_with_retry, startup_lint, Engine, EngineConfig, EngineError, WorkerCtx,
-};
+use crate::engine::{extract_isolated, startup_lint, Engine, EngineConfig, EngineError, WorkerCtx};
 use crate::metrics::{
     lock_collector, EngineMetrics, MetricsCollector, MetricsSink, COLLECTOR_LOCK_CLASS,
 };
-use crate::watchdog::Watchdog;
 use cmr_core::{ExtractedRecord, Pipeline, Schema, SharedParseCache};
 use cmr_ontology::Ontology;
 use cmr_sync::TrackedMutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Which service latency histogram a request sample belongs to.
@@ -51,16 +44,13 @@ pub enum LatencyKind {
 
 /// The long-lived shared core of a resident extraction service.
 ///
-/// Cheap to share (`Arc`); owns the watchdog thread and stops it on drop.
+/// Cheap to share (`Arc`); owns no threads.
 pub struct ServiceHandle {
     cfg: EngineConfig,
     schema: Arc<Schema>,
     ontology: Arc<Ontology>,
     parse_cache: SharedParseCache,
     collector: Arc<TrackedMutex<MetricsCollector>>,
-    watchdog: Option<Arc<Watchdog>>,
-    watchdog_thread: TrackedMutex<Option<JoinHandle<()>>>,
-    watchdog_stopped: AtomicBool,
     lint_warnings: u64,
     started: Instant,
 }
@@ -81,12 +71,6 @@ impl ServiceHandle {
                 message: lint.message.clone(),
             });
         }
-        let jobs = cfg.resolved_jobs();
-        let watchdog = cfg.max_record_millis.map(|ms| Watchdog::new(jobs, ms));
-        let watchdog_thread = TrackedMutex::new(
-            "engine.watchdog_thread",
-            watchdog.as_ref().map(Watchdog::spawn),
-        );
         Ok(Arc::new(ServiceHandle {
             cfg,
             schema: schema.into(),
@@ -96,9 +80,6 @@ impl ServiceHandle {
                 COLLECTOR_LOCK_CLASS,
                 MetricsCollector::default(),
             )),
-            watchdog,
-            watchdog_thread,
-            watchdog_stopped: AtomicBool::new(false),
             lint_warnings: lint.warnings,
             started: Instant::now(),
         }))
@@ -109,7 +90,7 @@ impl ServiceHandle {
         &self.cfg
     }
 
-    /// Resolved worker count (watchdog slots are sized to this).
+    /// Resolved worker count: how many workers the server runs.
     pub fn jobs(&self) -> usize {
         self.cfg.resolved_jobs()
     }
@@ -125,14 +106,12 @@ impl ServiceHandle {
         self.started.elapsed()
     }
 
-    /// Builds the per-thread worker for slot `widx` (`0..jobs()`). Call
-    /// from inside the worker's own thread: the pipeline's parse caches
-    /// are thread-local by design, backed by the shared cache as the slow
-    /// path, so a sentence shape is parsed once per *process*, not once
-    /// per worker.
-    pub fn worker(self: &Arc<Self>, widx: usize) -> ServiceWorker {
-        assert!(widx < self.jobs(), "worker index out of range");
-        let mut pipeline = Pipeline::new(
+    /// Builds one per-thread worker. Call from inside the worker's own
+    /// thread: the pipeline's parse caches are thread-local by design,
+    /// backed by the shared cache as the slow path, so a sentence shape is
+    /// parsed once per *process*, not once per worker.
+    pub fn worker(self: &Arc<Self>) -> ServiceWorker {
+        let pipeline = Pipeline::new(
             Arc::clone(&self.schema),
             Arc::clone(&self.ontology),
             self.cfg.method,
@@ -140,13 +119,9 @@ impl ServiceHandle {
         .with_term_patterns(self.cfg.term_patterns)
         .with_salvage(self.cfg.salvage)
         .with_shared_parse_cache(self.parse_cache.clone());
-        if let Some(wd) = &self.watchdog {
-            pipeline = pipeline.with_cancel_flag(wd.cancel_flag(widx));
-        }
         ServiceWorker {
             sink: MetricsSink::new(Arc::clone(&self.collector)),
             service: Arc::clone(self),
-            widx,
             pipeline,
         }
     }
@@ -175,35 +150,12 @@ impl ServiceHandle {
         m.lint_warnings = self.lint_warnings;
         m
     }
-
-    /// Stops the watchdog thread (idempotent; also runs on drop). In-flight
-    /// requests are not interrupted — their workers simply stop being
-    /// monitored, which only matters during final drain.
-    pub fn stop(&self) {
-        if self.watchdog_stopped.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if let Some(wd) = &self.watchdog {
-            wd.stop();
-        }
-        let handle = lock_thread(&self.watchdog_thread).take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
 }
 
-impl Drop for ServiceHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// One worker's slice of the service: a warm pipeline bound to a watchdog
-/// slot. Build with [`ServiceHandle::worker`] inside the worker thread.
+/// One worker's slice of the service: a warm pipeline and a local metrics
+/// sink. Build with [`ServiceHandle::worker`] inside the worker thread.
 pub struct ServiceWorker {
     service: Arc<ServiceHandle>,
-    widx: usize,
     pipeline: Pipeline,
     /// Worker-local metrics, published into the service-wide collector
     /// once per request (not once per counter update).
@@ -211,25 +163,22 @@ pub struct ServiceWorker {
 }
 
 impl ServiceWorker {
-    /// Extracts one note with the full per-request protection stack:
-    /// wall-clock/sentence budget, watchdog cancellation, per-attempt
-    /// panic isolation, and bounded retry for transient failures. Metrics
+    /// Extracts one note with the per-request protection stack: the
+    /// wall-clock deadline (checked inside the link parser's search too),
+    /// the sentence budget, and panic isolation. Metrics
     /// (stage histograms, cache counters, error counts) accumulate
     /// lock-free into the worker's sink and fold into the service-wide
     /// snapshot once per request, so `GET /metrics` stays fresh while the
     /// shared lock is taken once here rather than per counter update.
     pub fn extract(&self, text: &str) -> Result<ExtractedRecord, EngineError> {
         let ctx = WorkerCtx {
-            widx: self.widx,
             pipeline: &self.pipeline,
             max_record_millis: self.service.cfg.max_record_millis,
             max_record_sentences: self.service.cfg.max_record_sentences,
-            retry: self.service.cfg.retry,
-            watchdog: self.service.watchdog.as_deref(),
             quarantine: None,
             collector: &self.sink,
         };
-        let result = extract_with_retry(&ctx, 0, text);
+        let result = extract_isolated(&ctx, 0, text);
         self.sink.publish();
         result
     }
@@ -238,13 +187,6 @@ impl ServiceWorker {
     pub fn service(&self) -> &Arc<ServiceHandle> {
         &self.service
     }
-}
-
-fn lock_thread(
-    slot: &TrackedMutex<Option<JoinHandle<()>>>,
-) -> cmr_sync::TrackedMutexGuard<'_, Option<JoinHandle<()>>> {
-    slot.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // A service handle is shared across the accept loop and every worker.
@@ -291,7 +233,7 @@ mod tests {
             jobs: 1,
             ..EngineConfig::default()
         });
-        let worker = svc.worker(0);
+        let worker = svc.worker();
         let got = worker.extract(APPENDIX_RECORD).expect("extracts");
         let want = _batch_reference(APPENDIX_RECORD).expect("extracts");
         assert_eq!(
@@ -306,7 +248,7 @@ mod tests {
             jobs: 2,
             ..EngineConfig::default()
         });
-        let worker = svc.worker(0);
+        let worker = svc.worker();
         worker.extract(APPENDIX_RECORD).expect("extracts");
         let cold = svc.metrics();
         assert_eq!(cold.records, 1);
@@ -314,7 +256,7 @@ mod tests {
 
         // A second worker on the same note: every sentence shape must come
         // from the shared cache — the whole point of a resident process.
-        let worker2 = svc.worker(1);
+        let worker2 = svc.worker();
         worker2.extract(APPENDIX_RECORD).expect("extracts");
         let warm = svc.metrics();
         assert_eq!(warm.records, 2);
@@ -346,29 +288,12 @@ mod tests {
             max_record_sentences: Some(1),
             ..EngineConfig::default()
         });
-        let worker = svc.worker(0);
+        let worker = svc.worker();
         let err = worker.extract(APPENDIX_RECORD).unwrap_err();
         assert!(matches!(err, EngineError::Budget { .. }), "{err:?}");
         // The worker is still usable afterwards.
         let m = svc.metrics();
         assert_eq!(m.errors.budget, 1);
         assert_eq!(m.records, 0);
-    }
-
-    #[test]
-    fn watchdog_stops_cleanly_on_drop() {
-        let svc = handle(EngineConfig {
-            jobs: 1,
-            max_record_millis: Some(5_000),
-            ..EngineConfig::default()
-        });
-        let worker = svc.worker(0);
-        worker
-            .extract(APPENDIX_RECORD)
-            .expect("well under deadline");
-        svc.stop();
-        svc.stop(); // idempotent
-        drop(worker);
-        drop(svc); // Drop::drop sees the stopped flag and returns
     }
 }

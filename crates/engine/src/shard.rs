@@ -18,7 +18,7 @@
 //! The merge is pure bookkeeping — no extraction reruns — so merging N
 //! shard outputs is O(total output bytes).
 
-use crate::retry::QuarantineEntry;
+use crate::quarantine::QuarantineEntry;
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -124,9 +124,9 @@ pub fn merge_outputs<R: BufRead, W: Write>(shards: &mut [R], out: &mut W) -> std
 ///
 /// Duplicates are not corruption: a shard killed *after* a worker
 /// quarantined a record but *before* the sink journaled it re-processes
-/// that record on resume and quarantines it again. Extraction and the
-/// retry policy are deterministic, so both entries describe the same
-/// outcome; exactly one belongs in the merged file.
+/// that record on resume and quarantines it again. Extraction is a pure
+/// function of the note, so both entries describe the same outcome;
+/// exactly one belongs in the merged file.
 pub fn merge_quarantine(mut entries: Vec<QuarantineEntry>) -> Vec<QuarantineEntry> {
     entries.sort_by_key(|e| e.index);
     entries.dedup_by_key(|e| e.index);
@@ -201,7 +201,6 @@ mod tests {
             index,
             text: tag.to_string(),
             error: EngineError::Timeout { millis: 50 },
-            attempts: vec![],
         };
         let merged = merge_quarantine(vec![
             entry(7, "shard1-resumed"),

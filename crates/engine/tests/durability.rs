@@ -1,9 +1,9 @@
 //! Durability integration tests: journal + resume equivalence, poison
-//! quarantine, the stuck-worker watchdog, and graceful shutdown.
+//! quarantine, the per-record deadline, and graceful shutdown.
 
 use cmr_engine::{
     read_journal, read_quarantine, Engine, EngineConfig, EngineError, JournalEntry, JournalWriter,
-    QuarantineFile, RetryPolicy, RunManifest,
+    QuarantineFile, RunManifest,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,8 +33,8 @@ fn corpus(n: usize, seed: u64) -> Vec<String> {
 }
 
 /// A single-sentence record whose link parse takes far longer than the
-/// watchdog deadlines used in these tests (~200ms uncancelled: a long
-/// coordination chain near the parser's word limit).
+/// deadlines used in these tests (~200ms uncancelled: a long coordination
+/// chain near the parser's word limit).
 fn slow_record() -> String {
     let mut s = String::from(
         "Vitals:  pulse of 84 and pressure of 90 and temperature of 98 \
@@ -95,24 +95,19 @@ fn kill_at_fixed_record_then_resume_is_byte_identical() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A poison record (transient failure every attempt) is retried, then
-/// quarantined exactly once with its attempt history; the rest of the
-/// batch is unaffected.
+/// A poison record is quarantined exactly once with its typed error after
+/// its one attempt; the rest of the batch is unaffected.
 #[test]
 fn poison_record_is_quarantined_exactly_once_and_batch_survives() {
     let quarantine_path = scratch("poison.ndjson");
     let good = "Vitals:  Blood pressure is 144/90, pulse of 84.\n";
     // Two parse-worthy sentences against a one-sentence budget: a
-    // deterministic transient-class (Budget) failure on every attempt.
+    // deterministic Budget failure.
     let poison = "Vitals:  Blood pressure is 144/90.  Pulse of 84 was noted.  \
                   Temperature is 98.6 today.\n";
     let cfg = EngineConfig {
         jobs: 2,
         max_record_sentences: Some(1),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base_delay_millis: 1,
-        },
         ..EngineConfig::default()
     };
     let engine = engine(cfg)
@@ -125,7 +120,6 @@ fn poison_record_is_quarantined_exactly_once_and_batch_survives() {
         out.items[0]
     );
     assert!(out.items[1].is_ok(), "batch survives the poison record");
-    assert_eq!(out.metrics.retries, 2, "attempts 2 and 3 are retries");
     assert_eq!(out.metrics.quarantined, 1);
     assert_eq!(out.metrics.errors.budget, 1, "final outcome counted once");
 
@@ -134,21 +128,12 @@ fn poison_record_is_quarantined_exactly_once_and_batch_survives() {
     assert_eq!(entries[0].index, 0);
     assert_eq!(entries[0].text, poison);
     assert!(matches!(entries[0].error, EngineError::Budget { .. }));
-    assert_eq!(entries[0].attempts.len(), 3, "full attempt history");
-    assert!(
-        entries[0].attempts[..2]
-            .iter()
-            .all(|a| a.backoff_millis > 0),
-        "non-final attempts record their backoff"
-    );
-    assert_eq!(entries[0].attempts[2].backoff_millis, 0);
     let _ = std::fs::remove_file(&quarantine_path);
 }
 
-/// Without retry or quarantine configured, behaviour is unchanged: the
-/// failing record errors once, nothing is retried or quarantined.
+/// Without a quarantine attached, the failing record only errors in-band.
 #[test]
-fn default_policy_does_not_retry() {
+fn failed_record_without_quarantine_only_errors_in_band() {
     let poison = "Vitals:  Blood pressure is 144/90.  Pulse of 84 was noted.\n";
     let cfg = EngineConfig {
         jobs: 1,
@@ -157,15 +142,16 @@ fn default_policy_does_not_retry() {
     };
     let out = engine(cfg).extract_batch(&[poison]);
     assert!(matches!(out.items[0], Err(EngineError::Budget { .. })));
-    assert_eq!(out.metrics.retries, 0);
+    assert_eq!(out.metrics.errors.budget, 1);
     assert_eq!(out.metrics.quarantined, 0);
 }
 
 /// A record whose single sentence parses longer than the wall-clock
-/// deadline is cancelled by the watchdog and surfaces as a Timeout (not a
-/// plain Budget trip), counted in the metrics.
+/// deadline is cancelled mid-parse and surfaces as a Timeout (not a
+/// Budget trip), counted in the metrics — and well before the parse would
+/// have finished on its own.
 #[test]
-fn watchdog_cancels_stuck_parse_as_timeout() {
+fn deadline_cancels_stuck_parse_as_timeout() {
     let cfg = EngineConfig {
         jobs: 1,
         max_record_millis: Some(25),
@@ -174,7 +160,7 @@ fn watchdog_cancels_stuck_parse_as_timeout() {
     let out = engine(cfg).extract_batch(&[slow_record()]);
     assert!(
         matches!(out.items[0], Err(EngineError::Timeout { millis: 25 })),
-        "expected a watchdog timeout: {:?}",
+        "expected a timeout: {:?}",
         out.items[0]
     );
     assert_eq!(out.metrics.errors.timeouts, 1);
@@ -186,7 +172,7 @@ fn watchdog_cancels_stuck_parse_as_timeout() {
 }
 
 /// The same pathological record under no deadline extracts fine — the
-/// watchdog, not the record, is what fails it above.
+/// deadline, not the record, is what fails it above.
 #[test]
 fn slow_record_succeeds_without_a_deadline() {
     let out = engine(EngineConfig {

@@ -147,7 +147,7 @@ proptest! {
 
     /// Summing per-shard metrics reproduces the unsharded run's
     /// deterministic counters exactly: record/error counts, method
-    /// usage, degradation accounting, retries, quarantined records, and
+    /// usage, degradation accounting, quarantined records, and
     /// total parse-cache traffic. (Timings and the hit/miss *split* are
     /// scheduling-dependent and excluded by design.)
     #[test]
@@ -175,7 +175,6 @@ proptest! {
             merged.degradation.degraded_records,
             unsharded.degradation.degraded_records
         );
-        prop_assert_eq!(merged.retries, unsharded.retries);
         prop_assert_eq!(merged.quarantined, unsharded.quarantined);
         prop_assert_eq!(
             merged.parse_cache.hits + merged.parse_cache.misses,
@@ -196,7 +195,6 @@ proptest! {
                 index,
                 text: format!("note {index}"),
                 error: EngineError::Timeout { millis: 50 },
-                attempts: Vec::new(),
             })
             .collect();
         let merged = merge_quarantine(entries);

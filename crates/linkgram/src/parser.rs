@@ -30,8 +30,9 @@ use cmr_postag::{PosTagger, TaggedToken};
 use cmr_sync::{TrackedMutex, TrackedMutexGuard};
 use cmr_text::{tokenize, Sym};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-link length penalty: breaks cost ties toward close attachment
 /// without overriding whole-number disjunct costs.
@@ -69,9 +70,10 @@ pub struct LinkParser {
     sig_scratch: std::cell::RefCell<Vec<Sym>>,
     /// Reused memo/arena/bitmap storage for uncached parses.
     scratch: std::cell::RefCell<ParseScratch>,
-    /// Cooperative-cancellation flag: when set, the region search bails
-    /// out with [`ParseFailure::Cancelled`] at its next fuel check.
-    cancel: Option<Arc<AtomicBool>>,
+    /// Wall-clock deadline of the record being parsed: once it passes,
+    /// the region search bails out with [`ParseFailure::Cancelled`] at its
+    /// next fuel check.
+    deadline: std::cell::Cell<Option<Instant>>,
 }
 
 /// Why a parse produced no linkage.
@@ -96,8 +98,8 @@ pub enum ParseFailure {
     /// The region parser exhausted the search space without finding a
     /// linkage — the classic fragment case (`"Blood pressure: 144/90"`).
     NoLinkage,
-    /// An external deadline flag (see [`LinkParser::set_cancel_flag`])
-    /// was raised mid-search; the parse was abandoned, not exhausted.
+    /// The record's deadline (see [`LinkParser::set_deadline`]) passed
+    /// mid-search; the parse was abandoned, not exhausted.
     Cancelled,
 }
 
@@ -381,16 +383,17 @@ impl LinkParser {
             stats: std::cell::Cell::new(ParserStats::default()),
             sig_scratch: std::cell::RefCell::new(Vec::new()),
             scratch: std::cell::RefCell::new(ParseScratch::default()),
-            cancel: None,
+            deadline: std::cell::Cell::new(None),
         }
     }
 
-    /// Installs a cooperative-cancellation flag. While the flag is `true`,
-    /// in-flight and future region searches abandon work and return
-    /// [`ParseFailure::Cancelled`]; cancelled outcomes are never cached,
-    /// so clearing the flag restores normal (deterministic) behaviour.
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
+    /// Sets the wall-clock deadline for the parses that follow (`None`
+    /// clears it). Once it passes, uncached searches abandon work and
+    /// return [`ParseFailure::Cancelled`]; cancelled outcomes are never
+    /// cached, so a later parse without a deadline behaves as if none had
+    /// been set.
+    pub fn set_deadline(&self, deadline: Option<Instant>) {
+        self.deadline.set(deadline);
     }
 
     /// Rebounds the local structure cache to roughly `cap` shapes,
@@ -552,12 +555,11 @@ impl LinkParser {
     }
 
     fn parse_uncached(&self, tagged: &[TaggedToken]) -> Result<Linkage, ParseFailure> {
-        // An already-raised deadline cancels before any search work; the
-        // in-search fuel checks below only catch flags raised mid-parse.
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Err(ParseFailure::Cancelled);
-            }
+        // A deadline already past cancels before any search work; the
+        // in-search fuel checks below only catch one passing mid-parse.
+        let deadline = self.deadline.get();
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(ParseFailure::Cancelled);
         }
         // Word 0 is the LEFT-WALL; words 1..=n are the sentence tokens.
         // Shapes (normalized, sorted, deduped, head-indexed disjunct tables)
@@ -585,7 +587,7 @@ impl LinkParser {
             live: &*live,
             memo,
             arena,
-            cancel: self.cancel.as_deref(),
+            deadline,
             fuel: CANCEL_FUEL,
             cancelled: false,
         };
@@ -654,61 +656,6 @@ impl LinkParser {
         self.stats.set(ParserStats::default());
         self.cache.borrow_mut().evictions = 0;
     }
-
-    /// Null-link parsing (the original parser's "panic mode"): when no
-    /// complete linkage exists, retry with up to `max_nulls` words left out
-    /// of the linkage. Returns the best linkage over the *kept* words plus
-    /// the token indices that went null. Fewer nulls always wins; ties break
-    /// on linkage cost.
-    ///
-    /// Complexity is `C(n, k)` parses, so keep `max_nulls` small (1–2).
-    pub fn parse_with_nulls(
-        &self,
-        tagged: &[TaggedToken],
-        max_nulls: usize,
-    ) -> Option<(Linkage, Vec<usize>)> {
-        if let Some(linkage) = self.parse(tagged) {
-            return Some((linkage, Vec::new()));
-        }
-        // Strip trailing punctuation once, as parse() does, so nulls are
-        // spent on real words.
-        let mut end = tagged.len();
-        while end > 0 && tagged[end - 1].tag == cmr_postag::Tag::PUNCT {
-            end -= 1;
-        }
-        let tagged = &tagged[..end];
-        let n = tagged.len();
-        for k in 1..=max_nulls.min(n.saturating_sub(1)) {
-            let mut best: Option<(Linkage, Vec<usize>)> = None;
-            let mut chosen = vec![0usize; k];
-            combinations(n, k, &mut chosen, 0, 0, &mut |nulls: &[usize]| {
-                let kept: Vec<TaggedToken> = tagged
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !nulls.contains(i))
-                    .map(|(_, t)| t.clone())
-                    .collect();
-                let kept_idx: Vec<usize> = (0..n).filter(|i| !nulls.contains(i)).collect();
-                if let Some(mut linkage) = self.parse(&kept) {
-                    // Remap token indices back to the original sequence.
-                    for t in linkage.token_map.iter_mut().flatten() {
-                        *t = kept_idx[*t];
-                    }
-                    if best
-                        .as_ref()
-                        .map(|(b, _)| linkage.cost < b.cost)
-                        .unwrap_or(true)
-                    {
-                        best = Some((linkage, nulls.to_vec()));
-                    }
-                }
-            });
-            if best.is_some() {
-                return best;
-            }
-        }
-        None
-    }
 }
 
 /// The shareable cache entry for one parse outcome; failures keep their
@@ -720,25 +667,6 @@ fn cache_entry(result: &Result<Linkage, ParseFailure>) -> ShapeEntry {
             cost: l.cost,
         }),
         Err(f) => Err(*f),
-    }
-}
-
-/// Enumerates k-combinations of `0..n` into `chosen`, invoking `f` on each.
-fn combinations(
-    n: usize,
-    k: usize,
-    chosen: &mut Vec<usize>,
-    depth: usize,
-    start: usize,
-    f: &mut impl FnMut(&[usize]),
-) {
-    if depth == k {
-        f(chosen);
-        return;
-    }
-    for i in start..n {
-        chosen[depth] = i;
-        combinations(n, k, chosen, depth + 1, i + 1, f);
     }
 }
 
@@ -977,17 +905,19 @@ struct Ctx<'a> {
     live: &'a [Vec<bool>],
     memo: &'a mut HashMap<(u16, u16, ListRef, ListRef), Option<Sol>, FxBuild>,
     arena: &'a mut Vec<ANode>,
-    /// External cancellation flag, polled every `CANCEL_FUEL` region calls.
-    cancel: Option<&'a AtomicBool>,
-    /// Countdown to the next `cancel` poll (atomic loads in the inner
+    /// The record's deadline, compared against the clock every
+    /// `CANCEL_FUEL` region calls.
+    deadline: Option<Instant>,
+    /// Countdown to the next clock read (reading the clock in the inner
     /// recursion would cost more than the search step itself).
     fuel: u32,
-    /// Latched once the flag is observed: the search unwinds returning
-    /// `None` everywhere, and the caller maps that to `Cancelled`.
+    /// Latched once the deadline is seen to have passed: the search
+    /// unwinds returning `None` everywhere, and the caller maps that to
+    /// `Cancelled`.
     cancelled: bool,
 }
 
-/// Region-search calls between cancellation polls.
+/// Region-search calls between deadline checks.
 const CANCEL_FUEL: u32 = 1024;
 
 impl<'a> Ctx<'a> {
@@ -1057,11 +987,11 @@ impl<'a> Ctx<'a> {
         if self.cancelled {
             return None;
         }
-        if let Some(flag) = self.cancel {
+        if let Some(deadline) = self.deadline {
             self.fuel -= 1;
             if self.fuel == 0 {
                 self.fuel = CANCEL_FUEL;
-                if flag.load(Ordering::Relaxed) {
+                if Instant::now() >= deadline {
                     self.cancelled = true;
                     return None;
                 }
@@ -1285,11 +1215,16 @@ mod tests {
         );
     }
 
+    /// A deadline already in the past, as a record that ran out of time
+    /// leaves it.
+    fn passed() -> Option<Instant> {
+        Some(Instant::now() - std::time::Duration::from_millis(1))
+    }
+
     #[test]
-    fn raised_cancel_flag_aborts_parse_and_skips_caches() {
-        let mut parser = LinkParser::new();
-        let flag = Arc::new(AtomicBool::new(true));
-        parser.set_cancel_flag(Arc::clone(&flag));
+    fn passed_deadline_aborts_parse_and_skips_caches() {
+        let parser = LinkParser::new();
+        parser.set_deadline(passed());
         let text = "The patient is a smoker.";
         assert_eq!(
             try_parse_text(&parser, text).err(),
@@ -1300,10 +1235,36 @@ mod tests {
             0,
             "cancelled outcomes must not be cached"
         );
-        // Clearing the flag restores normal behaviour for the same shape.
-        flag.store(false, Ordering::Relaxed);
+        // Clearing the deadline restores normal behaviour for the same shape.
+        parser.set_deadline(None);
         assert!(try_parse_text(&parser, text).is_ok());
         assert_eq!(parser.cache_len(), 1);
+    }
+
+    #[test]
+    fn deadline_passing_mid_search_cancels_the_parse() {
+        // A long coordination chain near the word limit: tens of ms of
+        // region search uncancelled.
+        let text = "pulse of 84 and pressure of 90 and temperature of 98 \
+                    and weight of 150 and rate of 20 and pulse of 84 and weight of 150 \
+                    and pulse of 84 and weight of 150.";
+        let full = std::time::Instant::now();
+        assert!(try_parse_text(&LinkParser::new(), text).is_ok());
+        let full = full.elapsed();
+
+        let parser = LinkParser::new();
+        let started = Instant::now();
+        parser.set_deadline(Some(started + full / 10));
+        assert_eq!(
+            try_parse_text(&parser, text).err(),
+            Some(ParseFailure::Cancelled)
+        );
+        let cancelled = started.elapsed();
+        assert!(
+            cancelled < full / 2,
+            "the search ran {cancelled:?} of an uncancelled {full:?}"
+        );
+        assert_eq!(parser.cache_len(), 0);
     }
 
     #[test]
@@ -1311,14 +1272,12 @@ mod tests {
         let shared = SharedParseCache::new();
         let mut parser = LinkParser::new();
         parser.set_shared_cache(shared.clone());
-        let flag = Arc::new(AtomicBool::new(true));
-        parser.set_cancel_flag(Arc::clone(&flag));
+        parser.set_deadline(passed());
         let text = "The patient is a smoker.";
         assert_eq!(
             try_parse_text(&parser, text).err(),
             Some(ParseFailure::Cancelled)
         );
-        flag.store(false, Ordering::Relaxed);
         // A second worker sharing the cache must parse fresh, not replay
         // the cancellation.
         let mut peer = LinkParser::new();
@@ -1492,38 +1451,6 @@ mod tests {
     }
 
     #[test]
-    fn null_parsing_zero_nulls_when_parseable() {
-        let parser = LinkParser::new();
-        let tokens = cmr_text::tokenize("She smokes.");
-        let tagged = cmr_postag::PosTagger::new().tag(&tokens);
-        let (linkage, nulls) = parser.parse_with_nulls(&tagged, 2).expect("parses");
-        assert!(nulls.is_empty());
-        assert_eq!(linkage.words[1], "She");
-    }
-
-    #[test]
-    fn null_parsing_skips_the_blocking_token() {
-        // The colon has no disjuncts; with one null allowed, the rest links.
-        let parser = LinkParser::new();
-        let tokens = cmr_text::tokenize("Vitals : blood pressure is 144/90.");
-        let tagged = cmr_postag::PosTagger::new().tag(&tokens);
-        assert!(
-            parser.parse(&tagged).is_none(),
-            "full sequence cannot parse"
-        );
-        let (linkage, nulls) = parser
-            .parse_with_nulls(&tagged, 2)
-            .expect("null parse succeeds");
-        check_invariants(&linkage);
-        // The colon (token index 1) must be among the nulls.
-        assert!(nulls.contains(&1), "{nulls:?}");
-        // Token indices in the linkage refer to the original sequence.
-        let word_tokens: Vec<usize> = linkage.token_map.iter().flatten().copied().collect();
-        assert!(word_tokens.contains(&3), "pressure kept");
-        assert!(!word_tokens.contains(&1), "colon not in linkage");
-    }
-
-    #[test]
     fn shared_cache_spares_the_second_parser_the_parse() {
         let shared = SharedParseCache::new();
         let mut a = LinkParser::new();
@@ -1602,14 +1529,6 @@ mod tests {
                 "poison recovery must be silent at the S-layer"
             );
         }
-    }
-
-    #[test]
-    fn null_parsing_gives_up_beyond_budget() {
-        let parser = LinkParser::new();
-        let tokens = cmr_text::tokenize(": ; : ;");
-        let tagged = cmr_postag::PosTagger::new().tag(&tokens);
-        assert!(parser.parse_with_nulls(&tagged, 1).is_none());
     }
 
     #[test]

@@ -68,8 +68,9 @@ pub struct ServeConfig {
     /// Bound of the ready-request queue; a readable connection beyond
     /// this answers `429`.
     pub queue_depth: usize,
-    /// Per-request extraction wall-clock deadline, milliseconds
-    /// (watchdog-enforced, like `cmr extract --timeout-ms`).
+    /// Per-request extraction wall-clock deadline, milliseconds, like
+    /// `cmr extract --timeout-ms`: checked between sentences and inside
+    /// the link parser's search, so a request past it fails as a timeout.
     pub timeout_ms: Option<u64>,
     /// Per-request sentence budget.
     pub max_sentences: Option<usize>,
@@ -129,11 +130,9 @@ struct HealthReport {
     uptime_ms: u64,
     requests: u64,
     rejected: u64,
-    /// Watchdog/budget trips since boot (degradation, not failure).
+    /// Deadline trips since boot (degradation, not failure).
     timeouts: u64,
-    /// Transient-failure re-attempts since boot.
-    retries: u64,
-    /// Records that exhausted their retries and were quarantined.
+    /// Failed records that were quarantined.
     quarantined: u64,
     lint: cmr_analyze::Summary,
     assets: String,
@@ -212,7 +211,7 @@ impl Server {
                 workers.push(
                     std::thread::Builder::new()
                         .name(format!("serve-worker-{widx}"))
-                        .spawn_scoped(scope, move || worker_loop(&shared, widx))
+                        .spawn_scoped(scope, move || worker_loop(&shared))
                         .expect("spawning worker thread"),
                 );
             }
@@ -242,7 +241,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             // Stale keep-alives just drop: a client that raced a request
-            // into one sees EOF before any response bytes and retries on
+            // into one sees EOF before any response bytes and tries again on
             // a fresh connection (which the closed listener refuses).
             idle.clear();
             return;
@@ -347,12 +346,12 @@ fn reject_busy(mut conn: Conn, shared: &Shared) {
 }
 
 /// One worker: pull connections, serve requests, hand keep-alives back.
-fn worker_loop(shared: &Shared, widx: usize) {
+fn worker_loop(shared: &Shared) {
     // The pipeline (and its caches) is built inside the worker thread —
     // it is `!Sync` by design; the shared parse cache and interner behind
     // it are process-wide, so this worker starts warm after the first
     // request anywhere.
-    let worker = shared.service.worker(widx);
+    let worker = shared.service.worker();
     while let Some(conn) = shared.queue.pop() {
         serve_conn(shared, &worker, conn);
     }
@@ -456,7 +455,6 @@ fn dispatch(
                 requests: shared.requests.load(Ordering::Relaxed),
                 rejected: shared.rejected.load(Ordering::Relaxed),
                 timeouts: metrics.errors.timeouts,
-                retries: metrics.retries,
                 quarantined: metrics.quarantined,
                 lint: startup_lint_summary(),
                 assets: format!("{:016x}", cmr_engine::asset_fingerprint()),
@@ -680,7 +678,6 @@ mod tests {
             requests: 56,
             rejected: 7,
             timeouts: 3,
-            retries: 9,
             quarantined: 1,
             lint: cmr_analyze::Summary {
                 errors: 0,
@@ -692,7 +689,6 @@ mod tests {
         let json = serde_json::to_string(&report).expect("serialize");
         for field in [
             "\"timeouts\":3",
-            "\"retries\":9",
             "\"quarantined\":1",
             "\"status\":\"ready\"",
         ] {

@@ -21,8 +21,7 @@ use std::fs;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Graceful-shutdown plumbing: SIGINT/SIGTERM raise one shared flag the
 /// engine's feeder and the chaos sweep poll. The handler body is a single
@@ -298,7 +297,7 @@ fn usage() {
          \u{20}      write synthetic consultation notes (and gold labels as JSON);\n\
          \u{20}      --out - streams records as NDJSON to stdout instead\n\
          \u{20}  cmr extract [--jobs N] [--queue-depth Q] [--stats]\n\
-         \u{20}              [--journal FILE [--resume] [--compact-every N]] [--retries N]\n\
+         \u{20}              [--journal FILE [--resume] [--compact-every N]]\n\
          \u{20}              [--quarantine FILE] [--timeout-ms MS] [--max-sentences N]\n\
          \u{20}              [--ndjson] [--shard i/N] [--out FILE] [--metrics FILE] FILE...\n\
          \u{20}      extract structured records from note files, one JSON object per line,\n\
@@ -314,9 +313,9 @@ fn usage() {
          \u{20}      records (output stays byte-identical to an uninterrupted run), and\n\
          \u{20}      --compact-every N truncates the journal to a snapshot line every N\n\
          \u{20}      records so resume replays O(remainder), not O(completed);\n\
-         \u{20}      --retries retries transient failures with backoff and --quarantine\n\
-         \u{20}      files records that still fail; --timeout-ms sets a per-record\n\
-         \u{20}      wall-clock deadline enforced by a watchdog; SIGINT/SIGTERM drain\n\
+         \u{20}      --quarantine files every record that fails; --timeout-ms sets a\n\
+         \u{20}      per-record wall-clock deadline, checked inside the link parser's\n\
+         \u{20}      search too (a record past it fails as Timeout); SIGINT/SIGTERM drain\n\
          \u{20}      in-flight records, flush the journal, and exit 3 (partial run); a\n\
          \u{20}      journal write failure (e.g. ENOSPC) drains and exits 4 (clean I/O\n\
          \u{20}      abort, resumable)\n\
@@ -414,6 +413,32 @@ fn generate(args: &[String]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
+/// One note text, or why the input line could not be read.
+type NoteResult = Result<String, String>;
+
+/// Decodes NDJSON lines into note texts, skipping blank lines. A line that
+/// cannot be read (invalid UTF-8, an I/O error) yields one
+/// `line N: why` error (N is 1-based) and ends the stream.
+fn notes_of_lines(
+    lines: impl Iterator<Item = std::io::Result<String>>,
+) -> impl Iterator<Item = NoteResult> {
+    lines
+        .enumerate()
+        .scan(false, |failed, (i, line)| {
+            if *failed {
+                return None;
+            }
+            Some(match line {
+                Ok(line) => note_from_line(&line).map(Ok),
+                Err(e) => {
+                    *failed = true;
+                    Some(Err(format!("line {}: {e}", i + 1)))
+                }
+            })
+        })
+        .flatten()
+}
+
 /// Streams the cleaned note texts of an NDJSON corpus file, optionally
 /// keeping only one shard's slice of the global index space. O(one line)
 /// memory; the file can be re-read for a second pass (corpus hashing,
@@ -421,30 +446,27 @@ fn generate(args: &[String]) -> CmdResult {
 fn ndjson_notes(
     path: &str,
     shard: Option<ShardSpec>,
-) -> Result<impl Iterator<Item = String> + Send, String> {
+) -> Result<impl Iterator<Item = NoteResult> + Send, String> {
     let f = fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    Ok(std::io::BufReader::new(f)
-        .lines()
-        .map_while(Result::ok)
-        .filter_map(|l| note_from_line(&l))
+    Ok(notes_of_lines(std::io::BufReader::new(f).lines())
         .enumerate()
-        .filter(move |(g, _)| shard.is_none_or(|s| s.owns(*g)))
-        .map(|(_, text)| text))
+        .filter(move |(g, note)| note.is_err() || shard.is_none_or(|s| s.owns(*g)))
+        .map(|(_, note)| note))
 }
 
 /// Streams the note texts of NDJSON records on stdin. `StdinLock` is not
 /// `Send` and the engine's feeder thread consumes the iterator, so the
 /// lock is taken per line.
-fn stdin_notes() -> impl Iterator<Item = String> + Send {
+fn stdin_notes() -> impl Iterator<Item = NoteResult> + Send {
     let stdin = std::io::stdin();
-    std::iter::from_fn(move || {
+    notes_of_lines(std::iter::from_fn(move || {
         let mut buf = String::new();
         match stdin.lock().read_line(&mut buf) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Some(buf),
+            Ok(0) => None,
+            Ok(_) => Some(Ok(buf)),
+            Err(e) => Some(Err(e)),
         }
-    })
-    .filter_map(|l| note_from_line(&l))
+    }))
 }
 
 const EXTRACT: FlagTable = FlagTable {
@@ -452,7 +474,6 @@ const EXTRACT: FlagTable = FlagTable {
         "jobs",
         "queue-depth",
         "journal",
-        "retries",
         "quarantine",
         "timeout-ms",
         "max-sentences",
@@ -512,10 +533,6 @@ fn extract(args: &[String]) -> CmdResult {
         queue_depth: args.get("queue-depth", 32usize)?.max(1),
         max_record_millis: args.opt("timeout-ms")?,
         max_record_sentences: args.opt("max-sentences")?,
-        retry: RetryPolicy {
-            max_attempts: args.get("retries", 1u32)?.max(1),
-            ..RetryPolicy::default()
-        },
         ..EngineConfig::default()
     };
     let shutdown_flag = shutdown::install();
@@ -543,48 +560,62 @@ fn extract(args: &[String]) -> CmdResult {
     // the command before any output. An --ndjson file streams in O(one
     // record) memory; a journaled run hashes it in a first pass for the
     // manifest. Stdin streams too, except when journaled: the manifest
-    // needs the whole corpus, and stdin cannot be read twice.
-    let (feed, manifest): (Box<dyn Iterator<Item = String> + Send>, Option<RunManifest>) =
-        match ndjson_file {
-            Some(corpus) => {
-                let manifest = if journal.is_some() {
-                    let mut hasher = CorpusHasher::new();
-                    ndjson_notes(corpus, shard)?.for_each(|note| hasher.add(&note));
-                    Some(RunManifest::for_corpus(
-                        &cfg,
-                        hasher.finish(),
-                        hasher.records(),
-                    ))
-                } else {
-                    None
-                };
-                (Box::new(ndjson_notes(corpus, shard)?), manifest)
-            }
-            None if from_stdin && journal.is_none() => (Box::new(stdin_notes()), None),
-            None => {
-                let texts: Vec<String> = if from_stdin {
-                    stdin_notes().collect()
-                } else {
-                    inputs
-                        .iter()
-                        .map(|p| fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}")))
-                        .collect::<Result<_, _>>()?
-                };
-                let manifest = journal.map(|_| RunManifest::for_run(&cfg, &texts));
-                (Box::new(texts.into_iter()), manifest)
-            }
-        };
-    // Exit 3 means input was left unprocessed: the feed raises `drained`
-    // only when it runs dry, which a shutdown prevents.
-    let drained = Arc::new(AtomicBool::new(false));
+    // needs the whole corpus, and stdin cannot be read twice. A streamed
+    // line that cannot be read ends the feed; the records before it are
+    // emitted and the command then fails, naming the line.
+    let source = ndjson_file.unwrap_or("stdin");
+    let (feed, manifest): (
+        Box<dyn Iterator<Item = NoteResult> + Send>,
+        Option<RunManifest>,
+    ) = match ndjson_file {
+        Some(corpus) => {
+            let manifest = if journal.is_some() {
+                let mut hasher = CorpusHasher::new();
+                for note in ndjson_notes(corpus, shard)? {
+                    hasher.add(&note.map_err(|e| format!("reading {corpus}: {e}"))?);
+                }
+                Some(RunManifest::for_corpus(
+                    &cfg,
+                    hasher.finish(),
+                    hasher.records(),
+                ))
+            } else {
+                None
+            };
+            (Box::new(ndjson_notes(corpus, shard)?), manifest)
+        }
+        None if from_stdin && journal.is_none() => (Box::new(stdin_notes()), None),
+        None => {
+            let texts: Vec<String> = if from_stdin {
+                stdin_notes()
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| format!("reading stdin: {e}"))?
+            } else {
+                inputs
+                    .iter()
+                    .map(|p| fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}")))
+                    .collect::<Result<_, _>>()?
+            };
+            let manifest = journal.map(|_| RunManifest::for_run(&cfg, &texts));
+            (Box::new(texts.into_iter().map(Ok)), manifest)
+        }
+    };
+    // How the feed ended: `Ok` once it ran dry, `Err` at an unreadable
+    // line, unset while input remains. Exit 3 means input was left
+    // unprocessed, which only a shutdown does.
+    let ended: Arc<OnceLock<Result<(), String>>> = Arc::new(OnceLock::new());
     let feed = {
-        let (mut feed, drained) = (feed, Arc::clone(&drained));
-        std::iter::from_fn(move || {
-            let next = feed.next();
-            if next.is_none() {
-                drained.store(true, Ordering::Relaxed);
+        let (mut feed, ended) = (feed, Arc::clone(&ended));
+        std::iter::from_fn(move || match feed.next() {
+            Some(Ok(note)) => Some(note),
+            Some(Err(e)) => {
+                let _ = ended.set(Err(e));
+                None
             }
-            next
+            None => {
+                let _ = ended.set(Ok(()));
+                None
+            }
         })
     };
 
@@ -660,7 +691,11 @@ fn extract(args: &[String]) -> CmdResult {
             (metrics, sink.failed(), progress)
         }
     };
-    let partial = !drained.load(Ordering::Relaxed);
+    let partial = match ended.get() {
+        Some(Err(e)) => return Err(format!("reading {source}: {e}").into()),
+        Some(Ok(())) => false,
+        None => true,
+    };
     if partial {
         eprintln!("cmr: interrupted — {progress}");
     }

@@ -61,8 +61,7 @@ pub mod prelude {
     pub use cmr_corpus::{CorpusBuilder, GoldRecord, NoiseConfig, NoiseInjector, SmokingStatus};
     pub use cmr_engine::{
         read_journal, read_quarantine, BatchOutput, DegradationTotals, Engine, EngineConfig,
-        EngineError, EngineMetrics, JournalEntry, JournalWriter, QuarantineFile, RetryPolicy,
-        RunManifest,
+        EngineError, EngineMetrics, JournalEntry, JournalWriter, QuarantineFile, RunManifest,
     };
     pub use cmr_eval::{MultiValueScore, PrecisionRecall};
     pub use cmr_lexicon::Lemmatizer;

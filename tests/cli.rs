@@ -564,8 +564,8 @@ fn sigint_drains_flushes_the_journal_and_exits_three() {
 #[test]
 fn quarantine_files_the_poison_record_and_the_batch_survives() {
     let dir = scratch("quarantine");
-    // Two sentences under a one-sentence budget: deterministic transient
-    // failure on every attempt — a poison record.
+    // Two sentences under a one-sentence budget: a deterministic failure —
+    // a poison record.
     let poison = dir.join("poison.txt");
     std::fs::write(
         &poison,
@@ -579,7 +579,7 @@ fn quarantine_files_the_poison_record_and_the_batch_survives() {
 
     let out = cmr()
         .arg("extract")
-        .args(["--max-sentences", "1", "--retries", "2", "--quarantine"])
+        .args(["--max-sentences", "1", "--quarantine"])
         .arg(&qpath)
         .arg(&poison)
         .arg(&good)
@@ -597,13 +597,121 @@ fn quarantine_files_the_poison_record_and_the_batch_survives() {
     assert_eq!(entries.len(), 1, "poison record quarantined exactly once");
     let entry = serde_json::parse_value_str(entries[0]).expect("entry parses");
     assert_eq!(entry.get("index"), Some(&serde::Value::Int(0)));
-    let attempts = entry
-        .get("attempts")
-        .and_then(|a| a.as_array())
-        .expect("attempt history");
-    assert_eq!(attempts.len(), 2, "one record per attempt");
+    assert!(entry.get("error").is_some(), "typed error: {}", entries[0]);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn timeout_ms_cancels_a_pathological_parse_and_quarantines_it() {
+    let dir = scratch("timeout");
+    // One sentence whose link parse runs far past 25 ms: a long
+    // coordination chain near the parser's word limit.
+    let slow = dir.join("slow.txt");
+    std::fs::write(
+        &slow,
+        "Vitals:  pulse of 84 and pressure of 90 and temperature of 98 \
+         and weight of 150 and rate of 20 and pulse of 84 and weight of 150 \
+         and pulse of 84 and weight of 150.\n",
+    )
+    .expect("write slow note");
+    let good = dir.join("good.txt");
+    std::fs::write(&good, "Vitals:  Temperature 98.6, weight 150 pounds.\n")
+        .expect("write good note");
+    let qpath = dir.join("quarantine.ndjson");
+
+    let out = cmr()
+        .arg("extract")
+        .args(["--timeout-ms", "25", "--quarantine"])
+        .arg(&qpath)
+        .arg(&slow)
+        .arg(&good)
+        .output()
+        .expect("run extract with a deadline");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a timed-out record must not fail the run: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "both records produce a line:\n{stdout}");
+    assert_eq!(
+        lines[0], "{\"error\":\"record exceeded its 25 ms deadline\"}",
+        "in-band Timeout error"
+    );
+    assert!(lines[1].contains("\"temperature\""), "{}", lines[1]);
+
+    let quarantined = std::fs::read_to_string(&qpath).expect("quarantine written");
+    let entries: Vec<&str> = quarantined.lines().collect();
+    assert_eq!(
+        entries.len(),
+        1,
+        "the timed-out record, once: {quarantined}"
+    );
+    let entry = serde_json::parse_value_str(entries[0]).expect("entry parses");
+    let error = entry.get("error").expect("typed error");
+    let millis = error.get("Timeout").and_then(|t| t.get("millis"));
+    assert_eq!(millis, Some(&serde::Value::Int(25)), "{}", entries[0]);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Three NDJSON lines whose second is not UTF-8.
+const NDJSON_WITH_A_BAD_LINE: &[u8] =
+    b"\"Vitals:  Pulse of 84.\"\n\xff\xfe\n\"Vitals:  Temperature is 98.6.\"\n";
+
+/// An unreadable NDJSON line ends the corpus loudly: the records before it
+/// are emitted, then one `cmr: reading SOURCE: line N: ...` line, exit 2.
+fn assert_stops_at_line_two(out: std::process::Output, source: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    assert_eq!(
+        stdout.lines().count(),
+        1,
+        "the record before the bad line:\n{stdout}"
+    );
+    assert!(stdout.contains("\"pulse\""), "{stdout}");
+    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("cmr: reading {source}: line 2: ")),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn unreadable_ndjson_file_line_fails_after_the_records_before_it() {
+    let dir = scratch("bad-ndjson-file");
+    let corpus = dir.join("corpus.ndjson");
+    std::fs::write(&corpus, NDJSON_WITH_A_BAD_LINE).expect("write corpus");
+    let path = corpus.to_str().expect("utf-8 path");
+    let out = cmr()
+        .args(["extract", "--ndjson", path])
+        .output()
+        .expect("run extract --ndjson");
+    assert_stops_at_line_two(out, path);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unreadable_stdin_line_fails_after_the_records_before_it() {
+    let mut child = cmr()
+        .args(["extract", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmr extract -");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(NDJSON_WITH_A_BAD_LINE)
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("run cmr extract -");
+    assert_stops_at_line_two(out, "stdin");
 }
 
 #[cfg(unix)]
