@@ -16,8 +16,6 @@
 //!   `extern "C" fn` body (the signal-handler region);
 //! * **CMR-S004** — panic-capable calls inside `impl Drop for` bodies
 //!   (a panic in drop during unwind is an abort);
-//! * **CMR-S005** — a raw `std::sync` primitive constructed in a file
-//!   where the tracked wrappers (`cmr_sync`) are mandated;
 //! * **CMR-S006** — `.lock().unwrap()`-style poison propagation where
 //!   the workspace convention is poison *recovery*;
 //! * **CMR-S007** — `let _ = ….lock()`, which drops the guard
@@ -29,10 +27,6 @@
 //! same or the following line to `Note` — still visible in every report,
 //! never failing `--deny warnings`. This mirrors how the asset checks
 //! treat deliberate-but-suspicious patterns.
-//!
-//! The runtime half of the S series (`CMR-S100`–`S102`) is emitted by
-//! `cmr_sync`'s lockcheck layer, not by this pass; the codes are
-//! registered here so SARIF consumers see one rule table for the family.
 
 use crate::{Diagnostic, Severity};
 use std::path::{Path, PathBuf};
@@ -46,18 +40,6 @@ pub struct SourceFile {
     /// Full file contents.
     pub text: String,
 }
-
-/// Files where raw `std::sync::Mutex`/`RwLock`/`Condvar` construction is
-/// a finding: the shared state in these files is exactly what the
-/// tracked wrappers exist for.
-const TRACKED_MANDATED: &[&str] = &[
-    "crates/linkgram/src/parser.rs",
-    "crates/engine/src/engine.rs",
-    "crates/engine/src/metrics.rs",
-    "crates/engine/src/pool.rs",
-    "crates/engine/src/service.rs",
-    "crates/serve/src/server.rs",
-];
 
 /// Channel and I/O calls that must not run under a lock guard (S001).
 const GUARD_HAZARDS: &[&str] = &[
@@ -193,20 +175,17 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
         let ctx = Ctx {
             asset,
             denies_unwrap: crate_denies_unwrap(&file.path, &deny_unwrap, &file.text),
-            mandated: TRACKED_MANDATED.iter().any(|m| file.path == *m),
             lines: &lines,
         };
         check_guard_windows(&ctx, out); // S001, S007, S008
         check_unwrap_expect(&ctx, out); // S002, S006
         check_regions(&ctx, out); // S003, S004
-        check_untracked(&ctx, out); // S005
     }
 }
 
 struct Ctx<'a> {
     asset: &'static str,
     denies_unwrap: bool,
-    mandated: bool,
     lines: &'a [LineInfo],
 }
 
@@ -783,49 +762,6 @@ fn check_regions(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// S005 — raw primitives where tracked wrappers are mandated
-// ---------------------------------------------------------------------
-
-fn check_untracked(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.mandated {
-        return;
-    }
-    for (i, line) in ctx.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for raw in ["Mutex::new(", "RwLock::new(", "Condvar::new("] {
-            let mut from = 0usize;
-            while let Some(pos) = line.text[from..].find(raw) {
-                let abs = from + pos;
-                let preceded_by_ident = abs > 0
-                    && line.text[..abs]
-                        .chars()
-                        .next_back()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_');
-                if !preceded_by_ident {
-                    ctx.emit(
-                        out,
-                        "CMR-S005",
-                        Severity::Warning,
-                        i,
-                        format!(
-                            "raw `{}…)` in a file where the tracked wrappers are \
-                             mandated; use `cmr_sync::Tracked{}` so lockcheck sees \
-                             this lock",
-                            raw.trim_end_matches('('),
-                            raw.trim_end_matches("::new(")
-                        ),
-                    );
-                    break;
-                }
-                from = abs + raw.len();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,30 +935,6 @@ impl Drop for G {
 ";
         let diags = run("crates/x/src/a.rs", src);
         assert!(codes(&diags).contains(&"CMR-S004"), "{diags:?}");
-    }
-
-    #[test]
-    fn s005_raw_mutex_in_mandated_file_only() {
-        let src = "
-pub fn build() -> std::sync::Mutex<u32> {
-    std::sync::Mutex::new(0)
-}
-";
-        let mandated = run("crates/engine/src/pool.rs", src);
-        assert!(codes(&mandated).contains(&"CMR-S005"), "{mandated:?}");
-        let free = run("crates/x/src/a.rs", src);
-        assert!(!codes(&free).contains(&"CMR-S005"), "{free:?}");
-    }
-
-    #[test]
-    fn s005_tracked_wrapper_does_not_match() {
-        let src = "
-pub fn build() -> cmr_sync::TrackedMutex<u32> {
-    cmr_sync::TrackedMutex::new(\"x\", 0)
-}
-";
-        let diags = run("crates/engine/src/pool.rs", src);
-        assert!(!codes(&diags).contains(&"CMR-S005"), "{diags:?}");
     }
 
     #[test]

@@ -367,11 +367,6 @@ pub fn registry() -> &'static [CheckInfo] {
             summary: "panic-capable call inside an impl Drop body (panic-in-unwind aborts)",
         },
         CheckInfo {
-            code: "CMR-S005",
-            name: "source-untracked-lock",
-            summary: "raw std::sync primitive constructed where the tracked wrappers are mandated",
-        },
-        CheckInfo {
             code: "CMR-S006",
             name: "source-unwrap-on-lock",
             summary: "lock().unwrap() propagates poisoning where the convention is recovery",
@@ -385,22 +380,6 @@ pub fn registry() -> &'static [CheckInfo] {
             code: "CMR-S008",
             name: "source-sleep-under-guard",
             summary: "thread::sleep while a lock guard is live stalls every waiter",
-        },
-        CheckInfo {
-            code: "CMR-S100",
-            name: "lock-order-inversion",
-            summary:
-                "runtime (lockcheck): two lock classes acquired in opposite orders on different paths",
-        },
-        CheckInfo {
-            code: "CMR-S101",
-            name: "lock-hazard-hold",
-            summary: "runtime (lockcheck): a guard outlived the configured hazard hold threshold",
-        },
-        CheckInfo {
-            code: "CMR-S102",
-            name: "lock-recursive-class",
-            summary: "runtime (lockcheck): one thread acquired the same lock class twice",
         },
     ]
 }

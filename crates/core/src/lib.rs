@@ -55,9 +55,5 @@ pub use schema::Schema;
 // Re-exported so engine-style pools can share one parse cache without a
 // direct linkgram dependency.
 pub use cmr_linkgram::{SharedCacheStats, SharedParseCache};
-// The tracked lock layer lives in its own bottom-level crate (cmr-sync)
-// so cmr-linkgram can use it too; downstream code reaches it as
-// `cmr_core::sync` per the concurrency-soundness design.
-pub use cmr_sync as sync;
 pub use spec::{CategoricalFieldSpec, FeatureSpec, TermFieldSpec, ValueKind};
 pub use terms::{MedicalTermExtractor, PatternSet, TermHit};

@@ -1,9 +1,6 @@
 //! The batch-extraction engine.
 
-use crate::metrics::{
-    lock_collector, EngineMetrics, MetricsCollector, MetricsSink, RecordSample,
-    COLLECTOR_LOCK_CLASS,
-};
+use crate::metrics::{lock_collector, EngineMetrics, MetricsCollector, MetricsSink, RecordSample};
 use crate::pool::{panic_message, run_ordered, PoolConfig};
 use crate::quarantine::{QuarantineEntry, QuarantineFile};
 use cmr_core::{
@@ -11,12 +8,11 @@ use cmr_core::{
     Pipeline, Schema,
 };
 use cmr_ontology::Ontology;
-use cmr_sync::TrackedMutex;
 use cmr_text::Record;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -236,10 +232,7 @@ impl Engine {
                 ..EngineMetrics::default()
             };
         }
-        let collector = Arc::new(TrackedMutex::new(
-            COLLECTOR_LOCK_CLASS,
-            MetricsCollector::default(),
-        ));
+        let collector = Arc::new(Mutex::new(MetricsCollector::default()));
         // One pool-wide parse-structure cache: each worker keeps its
         // lock-free local cache as a fast path and falls back to this
         // lock-striped map, so a sentence shape is link-parsed once per

@@ -7,9 +7,8 @@
 //! into a serializable [`EngineMetrics`] snapshot.
 
 use cmr_core::{ExtractedRecord, MethodUsed};
-use cmr_sync::{TrackedMutex, TrackedMutexGuard};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of log2 nanosecond buckets: bucket `i` counts durations `d` with
 /// `floor(log2(d)) == i`, i.e. from 1 ns up past 2^39 ns (~9 minutes) —
@@ -437,15 +436,10 @@ impl MetricsCollector {
 /// with no invariant spanning the lock, so the data is safe to keep
 /// using.
 pub(crate) fn lock_collector(
-    collector: &TrackedMutex<MetricsCollector>,
-) -> TrackedMutexGuard<'_, MetricsCollector> {
-    collector
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    collector: &Mutex<MetricsCollector>,
+) -> MutexGuard<'_, MetricsCollector> {
+    collector.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// The shared collector always lives under this ordering class.
-pub(crate) const COLLECTOR_LOCK_CLASS: &str = "engine.metrics_collector";
 
 /// A worker-local metrics accumulator in front of the run's shared
 /// collector.
@@ -465,12 +459,12 @@ pub(crate) const COLLECTOR_LOCK_CLASS: &str = "engine.metrics_collector";
 #[derive(Debug)]
 pub(crate) struct MetricsSink {
     local: std::cell::RefCell<MetricsCollector>,
-    global: Arc<TrackedMutex<MetricsCollector>>,
+    global: Arc<Mutex<MetricsCollector>>,
 }
 
 impl MetricsSink {
     /// A sink draining into `global`.
-    pub fn new(global: Arc<TrackedMutex<MetricsCollector>>) -> MetricsSink {
+    pub fn new(global: Arc<Mutex<MetricsCollector>>) -> MetricsSink {
         MetricsSink {
             local: std::cell::RefCell::new(MetricsCollector::default()),
             global,
@@ -671,10 +665,7 @@ mod tests {
 
     #[test]
     fn sink_publishes_on_drop_and_on_demand() {
-        let global = Arc::new(TrackedMutex::new(
-            COLLECTOR_LOCK_CLASS,
-            MetricsCollector::default(),
-        ));
+        let global = Arc::new(Mutex::new(MetricsCollector::default()));
         {
             let sink = MetricsSink::new(Arc::clone(&global));
             sink.with(|c| c.quarantined += 2);

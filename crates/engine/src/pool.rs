@@ -33,13 +33,10 @@
 //!   surfaced through `on_panic` as an ordinary per-item error; the rest
 //!   of the chunk and the batch keep going.
 
-use cmr_sync::{TrackedCondvar, TrackedMutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
-#[cfg(test)]
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Steady-state records per channel send when the caller does not choose.
@@ -107,7 +104,7 @@ where
     let wait_nanos = AtomicU64::new(0);
     let chunks_sent = AtomicU64::new(0);
     let (in_tx, in_rx) = sync_channel::<Vec<(usize, In)>>(in_bound);
-    let in_rx = Arc::new(TrackedMutex::new("engine.pool_receiver", in_rx));
+    let in_rx = Arc::new(Mutex::new(in_rx));
     let (out_tx, out_rx) = sync_channel::<Vec<(usize, Result<Out, E>)>>(out_bound);
 
     // Records in flight (fed but not yet emitted) when every worker keeps
@@ -121,8 +118,8 @@ where
     let ring_cap = ((in_bound + out_bound + cfg.jobs + 3) * max_chunk).next_power_of_two();
     let ring_mask = ring_cap - 1;
     // The next index to emit, published by the consumer for the feeder.
-    let emitted = TrackedMutex::new("engine.pool_emitted", 0usize);
-    let emitted_cv = TrackedCondvar::new();
+    let emitted = Mutex::new(0usize);
+    let emitted_cv = Condvar::new();
 
     let mut high_water = 0u64;
     std::thread::scope(|scope| {

@@ -22,13 +22,10 @@
 //! deadline, never the process.
 
 use crate::engine::{extract_isolated, startup_lint, Engine, EngineConfig, EngineError, WorkerCtx};
-use crate::metrics::{
-    lock_collector, EngineMetrics, MetricsCollector, MetricsSink, COLLECTOR_LOCK_CLASS,
-};
+use crate::metrics::{lock_collector, EngineMetrics, MetricsCollector, MetricsSink};
 use cmr_core::{ExtractedRecord, Pipeline, Schema, SharedParseCache};
 use cmr_ontology::Ontology;
-use cmr_sync::TrackedMutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which service latency histogram a request sample belongs to.
@@ -50,7 +47,7 @@ pub struct ServiceHandle {
     schema: Arc<Schema>,
     ontology: Arc<Ontology>,
     parse_cache: SharedParseCache,
-    collector: Arc<TrackedMutex<MetricsCollector>>,
+    collector: Arc<Mutex<MetricsCollector>>,
     lint_warnings: u64,
     started: Instant,
 }
@@ -76,10 +73,7 @@ impl ServiceHandle {
             schema: schema.into(),
             ontology: ontology.into(),
             parse_cache: SharedParseCache::new(),
-            collector: Arc::new(TrackedMutex::new(
-                COLLECTOR_LOCK_CLASS,
-                MetricsCollector::default(),
-            )),
+            collector: Arc::new(Mutex::new(MetricsCollector::default())),
             lint_warnings: lint.warnings,
             started: Instant::now(),
         }))

@@ -133,6 +133,10 @@ fn usage_error(message: impl Into<String>) -> Failure {
     Failure::Usage(message.into())
 }
 
+fn not_positive(name: &str) -> Failure {
+    usage_error(format!("--{name} must be an integer >= 1"))
+}
+
 type CmdResult = Result<ExitCode, Failure>;
 
 /// A subcommand's flags, each declared once: `--name VALUE` flags and
@@ -223,14 +227,23 @@ impl Args {
         Ok(self.opt(name)?.unwrap_or(default))
     }
 
+    /// The flag as an integer >= 1, if it was given.
+    fn opt_positive<T: FlagValue + PartialOrd + From<u8>>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, Failure> {
+        match self.opt::<T>(name).map_err(|_| not_positive(name))? {
+            Some(n) if n < T::from(1) => Err(not_positive(name)),
+            n => Ok(n),
+        }
+    }
+
     /// The flag as an integer >= 1, or `default` when it was not given
     /// (`None`: the flag is required).
     fn positive(&self, name: &str, default: Option<usize>) -> Result<usize, Failure> {
-        let bad = || usage_error(format!("--{name} must be an integer >= 1"));
-        match self.opt::<usize>(name).map_err(|_| bad())?.or(default) {
-            Some(n) if n >= 1 => Ok(n),
-            _ => Err(bad()),
-        }
+        self.opt_positive(name)?
+            .or(default)
+            .ok_or_else(|| not_positive(name))
     }
 
     /// Refuses positional arguments, for subcommands that take none.
@@ -531,8 +544,8 @@ fn extract(args: &[String]) -> CmdResult {
     let cfg = EngineConfig {
         jobs: args.get("jobs", 1)?,
         queue_depth: args.get("queue-depth", 32usize)?.max(1),
-        max_record_millis: args.opt("timeout-ms")?,
-        max_record_sentences: args.opt("max-sentences")?,
+        max_record_millis: args.opt_positive("timeout-ms")?,
+        max_record_sentences: args.opt_positive("max-sentences")?,
         ..EngineConfig::default()
     };
     let shutdown_flag = shutdown::install();
@@ -1106,8 +1119,8 @@ fn serve(args: &[String]) -> CmdResult {
         addr: args.text("addr").unwrap_or("127.0.0.1:7171").to_string(),
         jobs: args.get("jobs", 0)?,
         queue_depth: args.get("queue-depth", 64)?,
-        timeout_ms: args.opt("timeout-ms")?,
-        max_sentences: args.opt("max-sentences")?,
+        timeout_ms: args.opt_positive("timeout-ms")?,
+        max_sentences: args.opt_positive("max-sentences")?,
         max_body_bytes,
     };
     let shutdown_flag = shutdown::install();

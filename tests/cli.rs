@@ -784,13 +784,32 @@ fn lint_deny_notes_exits_one_without_usage_noise() {
     );
 }
 
-/// Runs `cmr ARGS` and returns (exit code, stderr).
+/// Runs `cmr ARGS` and returns its exit code and stderr. A command that
+/// is still running after 20 s (a server that accepted bad flags) is
+/// killed and reported with no exit code.
 fn run_for_stderr(args: &[&str]) -> (Option<i32>, String) {
-    let out = cmr().args(args).output().expect("run cmr");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let mut child = cmr()
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmr");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("poll cmr") {
+            break status.code();
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
+        .expect("read stderr");
+    (code, stderr)
 }
 
 #[test]
@@ -801,6 +820,23 @@ fn bad_command_lines_exit_two_with_usage() {
         (
             &["extract", "--jobs", "banana", "x.txt"][..],
             "--jobs must be",
+        ),
+        // A 0 ms deadline or a 0-sentence cap would fail every record.
+        (
+            &["extract", "--timeout-ms", "0", "x.txt"][..],
+            "--timeout-ms must be an integer >= 1",
+        ),
+        (
+            &["extract", "--max-sentences", "0", "x.txt"][..],
+            "--max-sentences must be an integer >= 1",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--timeout-ms", "0"][..],
+            "--timeout-ms must be an integer >= 1",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--max-sentences", "0"][..],
+            "--max-sentences must be an integer >= 1",
         ),
     ] {
         let (code, stderr) = run_for_stderr(args);
@@ -850,33 +886,13 @@ fn generate_to_a_closed_pipe_ends_quietly() {
 #[test]
 fn serve_rejects_a_body_limit_that_overflows() {
     // 2^44 MB is 2^64 bytes: the limit must be refused, not wrapped to 0.
-    let mut child = cmr()
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--max-body-mb",
-            "17592186044416",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn cmr serve");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll serve") {
-            break status;
-        }
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("serve accepted --max-body-mb 17592186044416 and kept serving");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    let mut stderr = String::new();
-    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
-        .expect("read stderr");
-    assert_eq!(status.code(), Some(2), "{stderr}");
+    let (code, stderr) = run_for_stderr(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--max-body-mb",
+        "17592186044416",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--max-body-mb"), "names the flag: {stderr}");
 }

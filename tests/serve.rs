@@ -250,11 +250,43 @@ fn keep_alive_connection_serves_sequential_requests() {
     assert!(summary.requests >= 3);
 }
 
+/// Sends one `POST /extract` on a fresh connection without reading the
+/// answer.
+fn send_probe(addr: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream
+        .write_all(&post(addr, "/extract", NOTE))
+        .expect("write");
+    stream
+}
+
+/// Reads a probe's whole response: its status and whether it carried
+/// `Retry-After`.
+fn probe_status(mut stream: TcpStream) -> (u16, bool) {
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read");
+    let head = String::from_utf8_lossy(&raw);
+    let status: u16 = head
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status");
+    (status, head.to_ascii_lowercase().contains("retry-after:"))
+}
+
 #[test]
 fn admission_control_answers_429_when_queue_is_full() {
-    // One worker, one queue slot: occupy the worker with a long batch,
-    // fill the slot with one extract, and every further request must be
-    // shed with 429 + Retry-After rather than queued without bound.
+    // One worker, one queue slot: while a long batch holds the worker and
+    // one extract holds the slot, every further request must be shed with
+    // 429 + Retry-After rather than queued without bound. The test cannot
+    // ask whether the worker is busy (`/health` is answered by that same
+    // worker), so it probes in rounds once the batch has started: the
+    // first probe of a round is left unread to hold the slot, the second
+    // is read. The first 429 ends the rounds; a batch that finishes
+    // before any 429 is sent again.
     let (addr, shutdown, handle) = start(ServeConfig {
         jobs: 1,
         queue_depth: 1,
@@ -262,61 +294,52 @@ fn admission_control_answers_429_when_queue_is_full() {
     });
 
     let batch_len = 1500;
-    let long_batch = distinct_batch(batch_len);
-    let batch_addr = addr.clone();
-    let batch_req = post(&addr, "/extract/batch", &long_batch);
-    let batch_thread = std::thread::spawn(move || oneshot(&batch_addr, &batch_req));
-
-    // Let the batch occupy the worker, then send every probe *before*
-    // reading any response — reading first would serialize the probes
-    // behind the batch and present them to an idle server.
-    std::thread::sleep(Duration::from_millis(150));
-    let mut probes = Vec::new();
-    for _ in 0..3 {
+    let batch_req = post(&addr, "/extract/batch", &distinct_batch(batch_len));
+    // Sends the batch and returns once its first response bytes arrive:
+    // the response streams, so from then on the worker is busy with it.
+    let send_batch = || {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
-        stream
-            .write_all(&post(&addr, "/extract", NOTE))
-            .expect("write");
-        probes.push(stream);
-        std::thread::sleep(Duration::from_millis(40));
-    }
-
-    let mut statuses = Vec::new();
+        stream.write_all(&batch_req).expect("write batch");
+        let mut buf = vec![0u8; 4096];
+        let n = stream.read(&mut buf).expect("read batch head");
+        buf.truncate(n);
+        std::thread::spawn(move || read_response(&mut stream, &mut buf))
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
     let mut retry_after_seen = false;
-    for mut stream in probes {
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read");
-        let head = String::from_utf8_lossy(&raw);
-        let status: u16 = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .expect("status");
-        if head.to_ascii_lowercase().contains("retry-after:") {
-            retry_after_seen = true;
+    loop {
+        assert!(
+            Instant::now() < deadline,
+            "no probe was shed while a batch held the worker within 60 s"
+        );
+        let batch = send_batch();
+        let mut shed = false;
+        while !shed && !batch.is_finished() {
+            let held = send_probe(&addr);
+            for (status, retry_after) in [probe_status(send_probe(&addr)), probe_status(held)] {
+                assert!(
+                    status == 200 || status == 429,
+                    "every request is either served or cleanly shed: {status}"
+                );
+                shed |= status == 429;
+                retry_after_seen |= status == 429 && retry_after;
+            }
         }
-        statuses.push(status);
+        let (batch_status, batch_out) = batch.join().expect("batch thread");
+        assert_eq!(batch_status, 200);
+        assert_eq!(
+            batch_out.lines().count(),
+            batch_len,
+            "the in-flight batch must finish completely"
+        );
+        if shed {
+            break;
+        }
     }
-
-    let (batch_status, batch_out) = batch_thread.join().expect("batch thread");
-    assert_eq!(batch_status, 200);
-    assert_eq!(
-        batch_out.lines().count(),
-        batch_len,
-        "the in-flight batch must finish completely"
-    );
-    assert!(
-        statuses.contains(&429),
-        "with jobs=1, queue=1 and a busy worker, shedding must kick in: {statuses:?}"
-    );
     assert!(retry_after_seen, "429 must carry Retry-After");
-    assert!(
-        statuses.iter().all(|s| *s == 429 || *s == 200),
-        "every request is either served or cleanly shed: {statuses:?}"
-    );
 
     let summary = stop(&shutdown, handle);
     assert!(summary.rejected >= 1, "{summary:?}");
