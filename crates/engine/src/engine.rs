@@ -1,7 +1,7 @@
 //! The batch-extraction engine.
 
-use crate::metrics::{lock_collector, EngineMetrics, MetricsCollector, MetricsSink, RecordSample};
-use crate::pool::{panic_message, run_ordered, PoolConfig};
+use crate::metrics::{EngineMetrics, ParseCacheMetrics};
+use crate::pool::{panic_message, run_ordered, PoolConfig, PoolStats};
 use crate::quarantine::{QuarantineEntry, QuarantineFile};
 use cmr_core::{
     AssociationMethod, BudgetExceeded, BudgetLimit, ExtractBudget, ExtractedRecord, PatternSet,
@@ -12,7 +12,7 @@ use cmr_text::Record;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -210,37 +210,75 @@ impl Engine {
         I: Iterator<Item = String> + Send,
         S: FnMut(usize, Result<ExtractedRecord, EngineError>),
     {
+        self.extract_counted(EngineMetrics::default(), inputs, |idx, result, _| {
+            sink(idx, result)
+        })
+    }
+
+    /// [`Engine::extract_stream`] with its counts starting from `metrics`
+    /// (a resumed journal's prefix). The sink also sees the running
+    /// metrics, which already count the outcome it is handed.
+    pub(crate) fn extract_counted<I, S>(
+        &self,
+        mut metrics: EngineMetrics,
+        inputs: I,
+        mut sink: S,
+    ) -> EngineMetrics
+    where
+        I: Iterator<Item = String> + Send,
+        S: FnMut(usize, Result<ExtractedRecord, EngineError>, &EngineMetrics),
+    {
         let jobs = self.cfg.resolved_jobs();
         // Fail fast when the rule assets are broken: an Error-severity
         // finding means extraction would misbehave on every record, so the
         // batch never starts. Warnings only surface in the metrics.
         let lint = startup_lint();
-        if lint.errors > 0 {
-            let start = Instant::now();
+        let start = Instant::now();
+        let quarantined_before = self.quarantine.as_ref().map_or(0, |q| q.written());
+        let mut emit = |idx: usize, outcome: WorkerOutcome| {
+            let result = tally(&mut metrics, outcome);
+            sink(idx, result, &metrics);
+        };
+        let pool_stats = if lint.errors > 0 {
             for (idx, _text) in inputs.enumerate() {
-                sink(
+                emit(
                     idx,
                     Err(EngineError::Lint {
                         message: lint.message.clone(),
                     }),
                 );
             }
-            return EngineMetrics {
-                jobs,
-                wall_nanos: start.elapsed().as_nanos() as u64,
-                lint_warnings: lint.warnings,
-                ..EngineMetrics::default()
-            };
-        }
-        let collector = Arc::new(Mutex::new(MetricsCollector::default()));
+            PoolStats::default()
+        } else {
+            self.run_pool(jobs, inputs, emit)
+        };
+        metrics.jobs = jobs;
+        metrics.lint_warnings = lint.warnings;
+        metrics.quarantined +=
+            self.quarantine.as_ref().map_or(0, |q| q.written()) - quarantined_before;
+        metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
+        metrics.reorder_buffer_high_water = pool_stats.reorder_high_water;
+        metrics.set_wall(start.elapsed().as_nanos() as u64);
+        metrics
+    }
+
+    /// Runs `inputs` through `jobs` guarded workers, handing each outcome
+    /// to `emit` in input order.
+    fn run_pool<I>(
+        &self,
+        jobs: usize,
+        inputs: I,
+        emit: impl FnMut(usize, WorkerOutcome),
+    ) -> PoolStats
+    where
+        I: Iterator<Item = String> + Send,
+    {
         // One pool-wide parse-structure cache: each worker keeps its
         // lock-free local cache as a fast path and falls back to this
         // lock-striped map, so a sentence shape is link-parsed once per
         // run, not once per worker. Without it, cold per-worker caches
         // multiply parse work by the job count.
         let parse_cache = cmr_core::SharedParseCache::new();
-        let start = Instant::now();
-
         let schema = &self.schema;
         let ontology = &self.ontology;
         let method = self.cfg.method;
@@ -249,10 +287,7 @@ impl Engine {
         let max_record_millis = self.cfg.max_record_millis;
         let max_record_sentences = self.cfg.max_record_sentences;
         let quarantine = self.quarantine.clone();
-        let worker_collector = Arc::clone(&collector);
-        let panic_collector = Arc::clone(&collector);
-
-        let pool_stats = run_ordered(
+        run_ordered(
             inputs,
             PoolConfig {
                 jobs,
@@ -267,11 +302,6 @@ impl Engine {
                     .with_term_patterns(term_patterns)
                     .with_salvage(salvage)
                     .with_shared_parse_cache(parse_cache.clone());
-                // Worker-private metrics: records accumulate lock-free
-                // here and fold into the shared collector exactly once,
-                // when the worker closure drops at pool drain (inside the
-                // pool scope, before the collector is read below).
-                let sink = MetricsSink::new(Arc::clone(&worker_collector));
                 let quarantine = quarantine.clone();
                 move |idx: usize, text: String| {
                     let ctx = WorkerCtx {
@@ -279,7 +309,6 @@ impl Engine {
                         max_record_millis,
                         max_record_sentences,
                         quarantine: quarantine.as_deref(),
-                        collector: &sink,
                     };
                     extract_isolated(&ctx, idx, &text)
                 }
@@ -287,20 +316,9 @@ impl Engine {
             // Backstop only: panics are normally caught per record inside
             // the worker; this path fires only if something outside
             // `extract_isolated`'s guard unwinds.
-            move |message| {
-                lock_collector(&panic_collector).errors.panics += 1;
-                EngineError::Panicked { message }
-            },
-            sink,
-        );
-
-        let wall_nanos = start.elapsed().as_nanos() as u64;
-        let collector = lock_collector(&collector);
-        let mut metrics = EngineMetrics::from_collector(&collector, jobs, wall_nanos);
-        metrics.lint_warnings = lint.warnings;
-        metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
-        metrics.reorder_buffer_high_water = pool_stats.reorder_high_water;
-        metrics
+            |message| EngineError::Panicked { message },
+            emit,
+        )
     }
 }
 
@@ -360,34 +378,42 @@ fn fnv1a_str(s: &str) -> u64 {
 }
 
 /// Everything one worker needs to process a record: pipeline, budgets,
-/// quarantine, metrics. Shared with the resident-service workers
+/// quarantine. Shared with the resident-service workers
 /// (`crate::service`), which run the same guarded extraction around one
-/// HTTP request at a time. Metrics flow through the worker-local
-/// [`MetricsSink`] — per-record updates never touch the run-wide
-/// collector lock.
+/// HTTP request at a time.
 pub(crate) struct WorkerCtx<'a> {
     pub(crate) pipeline: &'a Pipeline,
     pub(crate) max_record_millis: Option<u64>,
     pub(crate) max_record_sentences: Option<usize>,
     pub(crate) quarantine: Option<&'a QuarantineFile>,
-    pub(crate) collector: &'a MetricsSink,
 }
 
-/// Runs one record under one `catch_unwind`, counts its outcome in the
-/// metrics exactly once, and appends a failed record to the quarantine
-/// (when one is attached). The pipeline holds no cross-record invariants
-/// (caches are valid at every unwind point), so the worker keeps using it
-/// after a caught panic.
-pub(crate) fn extract_isolated(
-    ctx: &WorkerCtx<'_>,
-    idx: usize,
-    text: &str,
+/// A worker's outcome for one record: the record and the parse-cache
+/// traffic it caused, or why it failed.
+pub(crate) type WorkerOutcome = Result<(ExtractedRecord, ParseCacheMetrics), EngineError>;
+
+/// Counts a worker's outcome into `metrics` (its parse-cache traffic,
+/// then [`EngineMetrics::count`]) and returns the outcome the sink or the
+/// caller sees.
+pub(crate) fn tally(
+    metrics: &mut EngineMetrics,
+    outcome: WorkerOutcome,
 ) -> Result<ExtractedRecord, EngineError> {
+    let result = outcome.map(|(record, cache)| {
+        metrics.parse_cache.merge(&cache);
+        record
+    });
+    metrics.count(&result);
+    result
+}
+
+/// Runs one record under one `catch_unwind` and appends a failed record
+/// to the quarantine (when one is attached). The pipeline holds no
+/// cross-record invariants (caches are valid at every unwind point), so
+/// the worker keeps using it after a caught panic.
+pub(crate) fn extract_isolated(ctx: &WorkerCtx<'_>, idx: usize, text: &str) -> WorkerOutcome {
     let error = match catch_unwind(AssertUnwindSafe(|| extract_one(ctx, text))) {
-        Ok(Ok((out, sample))) => {
-            ctx.collector.with(|c| c.record_ok(sample, &out));
-            return Ok(out);
-        }
+        Ok(Ok(out)) => return Ok(out),
         Ok(Err(exceeded)) => match exceeded.limit {
             BudgetLimit::Deadline => EngineError::Timeout {
                 millis: ctx.max_record_millis.unwrap_or(0),
@@ -400,32 +426,23 @@ pub(crate) fn extract_isolated(
             message: panic_message(payload.as_ref()),
         },
     };
-    ctx.collector.with(|c| match &error {
-        EngineError::Panicked { .. } => c.errors.panics += 1,
-        EngineError::Budget { .. } => c.errors.budget += 1,
-        EngineError::Timeout { .. } => c.errors.timeouts += 1,
-        EngineError::Lint { .. } => {}
-    });
     if let Some(q) = ctx.quarantine {
-        let written = q.append(&QuarantineEntry {
+        q.append(&QuarantineEntry {
             index: idx,
             text: text.to_string(),
             error: error.clone(),
         });
-        if written {
-            ctx.collector.with(|c| c.quarantined += 1);
-        }
     }
     Err(error)
 }
 
 /// Processes one record on a worker: parse, budgeted extraction. Returns
-/// the record plus its parse-cache sample; all metrics recording and
-/// failure classification live in [`extract_isolated`].
+/// the record plus the parse-cache lookups it made; failure
+/// classification lives in [`extract_isolated`].
 fn extract_one(
     ctx: &WorkerCtx<'_>,
     text: &str,
-) -> Result<(ExtractedRecord, RecordSample), BudgetExceeded> {
+) -> Result<(ExtractedRecord, ParseCacheMetrics), BudgetExceeded> {
     // Inside `extract_isolated`'s catch_unwind: an injected `panic` action
     // is contained to this record (its chunk-mates survive), which is what
     // the chaos panic-mid-chunk schedule asserts. `io_inject` enacts panic
@@ -443,12 +460,12 @@ fn extract_one(
     let stats_before = pipeline.parser_stats();
     let out = pipeline.extract_budgeted(&record, &budget)?;
     let stats = pipeline.parser_stats();
-    let sample = RecordSample {
-        cache_hits: stats.cache_hits - stats_before.cache_hits,
+    let cache = ParseCacheMetrics {
+        hits: stats.cache_hits - stats_before.cache_hits,
         shared_hits: stats.shared_hits - stats_before.shared_hits,
-        cache_misses: stats.cache_misses - stats_before.cache_misses,
+        misses: stats.cache_misses - stats_before.cache_misses,
     };
-    Ok((out, sample))
+    Ok((out, cache))
 }
 
 // The engine itself crosses threads (it is borrowed by scoped workers).

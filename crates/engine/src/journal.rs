@@ -3,8 +3,8 @@
 //! Format — NDJSON, one flushed line per event:
 //!
 //! ```text
-//! {"version":4,"config_fingerprint":"6c62…","asset_fingerprint":"a3f9…","corpus_hash":"08b1…","records":N}
-//! {"snapshot":{"completed":K,"output_fingerprint":"5e1c…"},"crc":"77aa…"}        (optional, at most one)
+//! {"version":5,"config_fingerprint":"6c62…","asset_fingerprint":"a3f9…","corpus_hash":"08b1…","records":N}
+//! {"snapshot":{"completed":K,"output_fingerprint":"5e1c…","records":R,"errors":{…},"methods":{…},"degradation":{…}},"crc":"77aa…"}   (optional, at most one)
 //! {"entry":{"index":K,"output":{"Ok":{…extracted record…}}},"crc":"9f3a…"}
 //! {"entry":{"index":K+1,"output":{"Err":{"Budget":{"sentences_done":4}}}},"crc":"08b1…"}
 //! …
@@ -39,14 +39,16 @@
 //! uninterrupted run, because extraction is deterministic per record and
 //! serialization is canonical.
 //!
-//! Compaction (v3): once a long run has journaled many records, replay
+//! Compaction: once a long run has journaled many records, replay
 //! cost is O(completed). [`JournalWriter::compact`] rewrites the journal
-//! as manifest + one [`Snapshot`] line — the completed count and a
-//! rolling [`OutputFingerprint`] over every output line emitted so far —
-//! then entries continue from there. Resume against a compacted journal
-//! replays only the post-snapshot remainder; the snapshot fingerprint
-//! lets the resuming process verify (and truncate to) the prefix already
-//! present in a durable output file. The rewrite goes through a temp
+//! as manifest + one [`Snapshot`] line — the completed count, a rolling
+//! [`OutputFingerprint`] over every output line emitted so far, and the
+//! deterministic metrics counts of those records — then entries continue
+//! from there. Resume against a compacted journal replays only the
+//! post-snapshot remainder; the snapshot fingerprint lets the resuming
+//! process verify (and truncate to) the prefix already present in a
+//! durable output file, and its counts stand in for the entries the
+//! compaction discarded, so a resumed run's metrics cover every record. The rewrite goes through a temp
 //! file and an atomic rename, so a crash mid-compaction leaves either
 //! the old journal or the new one, never a hybrid.
 //!
@@ -56,6 +58,7 @@
 //! `--features failpoints`).
 
 use crate::engine::{EngineConfig, EngineError};
+use crate::metrics::{DegradationTotals, ErrorCounts, MethodCounts};
 use cmr_core::ExtractedRecord;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -66,8 +69,9 @@ use std::path::Path;
 /// the only version this build reads. v2 added the per-line entry
 /// checksum; v3 added the optional compaction snapshot line; v4 entry
 /// lines carry records with a per-field `methods` map and top-level
-/// `parse_failures`.
-pub const JOURNAL_VERSION: u32 = 4;
+/// `parse_failures`; v5 snapshots carry the metrics counts of the
+/// records they summarize.
+pub const JOURNAL_VERSION: u32 = 5;
 
 /// Identity of a run: everything that determines its output bytes.
 ///
@@ -163,7 +167,7 @@ fn line_crc(entry_json: &str) -> String {
 
 /// A compaction snapshot: everything resume needs in place of the entry
 /// lines the compaction discarded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Records `0..completed` were journaled (and their output emitted)
     /// before the snapshot was taken; entry lines resume at `completed`.
@@ -173,6 +177,18 @@ pub struct Snapshot {
     /// process verify that a durable output file still carries the
     /// exact prefix the snapshot summarizes.
     pub output_fingerprint: String,
+    /// [`EngineMetrics::records`](crate::EngineMetrics::records) over
+    /// records `0..completed`.
+    pub records: u64,
+    /// [`EngineMetrics::errors`](crate::EngineMetrics::errors) over
+    /// records `0..completed`.
+    pub errors: ErrorCounts,
+    /// [`EngineMetrics::methods`](crate::EngineMetrics::methods) over
+    /// records `0..completed`.
+    pub methods: MethodCounts,
+    /// [`EngineMetrics::degradation`](crate::EngineMetrics::degradation)
+    /// over records `0..completed`.
+    pub degradation: DegradationTotals,
 }
 
 /// On-disk shape of a snapshot line, mirroring [`JournalLine`].
@@ -975,13 +991,31 @@ mod tests {
         let snap = Snapshot {
             completed: 4,
             output_fingerprint: fp.as_hex(),
+            records: 3,
+            errors: ErrorCounts {
+                budget: 1,
+                ..ErrorCounts::default()
+            },
+            methods: MethodCounts {
+                link_grammar: 20,
+                pattern: 7,
+                ..MethodCounts::default()
+            },
+            degradation: DegradationTotals {
+                parse_failures: 2,
+                degraded_records: 1,
+            },
         };
         let mut w = JournalWriter::compact(&path, &m, &snap).unwrap();
         w.append(&entry(4)).unwrap();
         drop(w);
 
         let read = read_journal(&path).unwrap();
-        assert_eq!(read.snapshot.as_ref(), Some(&snap));
+        assert_eq!(
+            read.snapshot.as_ref(),
+            Some(&snap),
+            "the snapshot's counts survive the round trip"
+        );
         assert_eq!(read.snapshot_completed(), 4);
         assert_eq!(read.entries.len(), 1, "only the post-snapshot remainder");
         assert_eq!(read.entries[0].index, 4);
@@ -1026,9 +1060,16 @@ mod tests {
         let m = manifest();
         let w = JournalWriter::create(&path, &m).unwrap();
         drop(w);
+        let snapshot = serde_json::to_string(&Snapshot {
+            completed: 2,
+            output_fingerprint: "00000000000000aa".into(),
+            ..Snapshot::default()
+        })
+        .unwrap();
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(
-            b"{\"snapshot\":{\"completed\":2,\"output_fingerprint\":\"00000000000000aa\"},\"crc\":\"0000000000000000\"}\n",
+        writeln!(
+            f,
+            "{{\"snapshot\":{snapshot},\"crc\":\"0000000000000000\"}}"
         )
         .unwrap();
         drop(f);

@@ -10,11 +10,14 @@
 //!   The journaled prefix streams back to the output, one entry at a
 //!   time, and only the remainder is extracted. After a compaction the
 //!   output file's prefix is verified against the snapshot fingerprint
-//!   and anything after it is truncated.
+//!   and anything after it is truncated. The run's metrics start from
+//!   the snapshot's counts, and every replayed entry is counted the way
+//!   the engine counts a live record, so they cover the whole corpus.
 //! * **Compaction.** Every `compact_every` records this run journals, the
 //!   output is flushed and then the journal is rewritten as manifest +
-//!   snapshot. The flush comes first: the snapshot may only describe
-//!   bytes that survive a crash.
+//!   snapshot, which carries the counts of every record so far. The
+//!   flush comes first: the snapshot may only describe bytes that
+//!   survive a crash.
 //! * **Clean abort.** An I/O failure on the journal or the output raises
 //!   the engine's shutdown flag. In-flight records drain without being
 //!   journaled or emitted, and the journal stays a valid prefix that a
@@ -36,8 +39,24 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Where extraction's record lines land: one line per record, the record
-/// JSON or an in-band `{"error":…}` object.
+/// One record's output line, without its newline: the record's JSON, or
+/// the in-band [`error_line`] of its error. `cmr extract` and the
+/// service's `/extract/batch` both write this format.
+pub fn outcome_line(outcome: &Result<ExtractedRecord, EngineError>) -> String {
+    match outcome {
+        Ok(record) => serde_json::to_string(record).unwrap_or_else(|e| error_line(&e.to_string())),
+        Err(e) => error_line(&e.to_string()),
+    }
+}
+
+/// The in-band error object `{"error":"…"}`, `message` JSON-escaped.
+pub fn error_line(message: &str) -> String {
+    let quoted = serde_json::to_string(message).unwrap_or_else(|_| "\"error\"".into());
+    format!("{{\"error\":{quoted}}}")
+}
+
+/// Where extraction's record lines land: one [`outcome_line`] per
+/// record.
 ///
 /// Stdout is flushed per line, so a downstream consumer (or a post-crash
 /// inspection) sees every completed record, and a closed pipe (`| head`)
@@ -87,16 +106,8 @@ impl RecordSink {
 
     /// Writes one record's line.
     pub fn emit(&mut self, result: &Result<ExtractedRecord, EngineError>) {
-        let line = match result {
-            Ok(rec) => serde_json::to_string(rec).expect("record serializes"),
-            Err(e) => {
-                self.failed += 1;
-                format!(
-                    "{{\"error\":{}}}",
-                    serde_json::to_string(&e.to_string()).expect("string serializes")
-                )
-            }
-        };
+        self.failed += u64::from(result.is_err());
+        let line = outcome_line(result);
         self.fingerprint.add_line(&line);
         match &mut self.dest {
             Dest::Stdout { w, closed } => {
@@ -167,7 +178,9 @@ pub enum RunEvent {
 /// What a journaled run did.
 #[derive(Debug)]
 pub struct JournalOutcome {
-    /// The engine's metrics, with the replayed records folded in.
+    /// The engine's metrics. The deterministic counts (`records`,
+    /// `errors`, `methods`, `degradation`) cover every record the journal
+    /// accounts for, compacted and replayed ones included.
     pub metrics: EngineMetrics,
     /// Records the journal accounts for, replayed ones included.
     pub completed: usize,
@@ -243,7 +256,7 @@ where
         let mut first = Vec::new();
         BufReader::new(f).read_until(b'\n', &mut first).is_ok() && first.ends_with(b"\n")
     });
-    let mut replay_metrics = EngineMetrics::default();
+    let mut counts = EngineMetrics::default();
     let (mut writer, start, mut sink) = if run.resume && born {
         let mut replay = JournalReplay::open(run.journal).map_err(|e| refused(e.to_string()))?;
         if let Some(why) = replay.manifest().mismatch(manifest) {
@@ -261,6 +274,13 @@ where
         if let Some(snap) = replay.snapshot() {
             sink.fingerprint = OutputFingerprint::from_hex(&snap.output_fingerprint)
                 .ok_or_else(|| refused("corrupt snapshot".to_string()))?;
+            counts = EngineMetrics {
+                records: snap.records,
+                errors: snap.errors,
+                methods: snap.methods,
+                degradation: snap.degradation,
+                ..EngineMetrics::default()
+            };
         }
         // Stream the journaled prefix straight to the output, O(one
         // entry) memory, so the final output is byte-identical to an
@@ -268,7 +288,7 @@ where
         let mut replayed = 0;
         while let Some(step) = replay.next_entry() {
             let entry = step.map_err(|e| refused(e.to_string()))?;
-            replay_metrics.absorb_replayed(&entry.output);
+            counts.count(&entry.output);
             sink.emit(&entry.output);
             replayed += 1;
         }
@@ -293,7 +313,7 @@ where
     let engine = engine.with_shutdown(Arc::clone(&stop));
     let mut journaled = 0u64;
     let mut abort: Option<String> = None;
-    let mut metrics = engine.extract_stream(feed.skip(start), |idx, result| {
+    let metrics = engine.extract_counted(counts, feed.skip(start), |idx, result, counted| {
         if abort.is_some() {
             return;
         }
@@ -321,6 +341,10 @@ where
                 let snap = Snapshot {
                     completed: start + journaled as usize,
                     output_fingerprint: sink.fingerprint.as_hex(),
+                    records: counted.records,
+                    errors: counted.errors,
+                    methods: counted.methods,
+                    degradation: counted.degradation,
                 };
                 // On error the old journal is untouched and still a valid
                 // prefix, so this aborts exactly like a failed append.
@@ -334,7 +358,6 @@ where
             stop.store(true, Ordering::Relaxed);
         }
     });
-    metrics.merge(&replay_metrics);
     if abort.is_none() {
         abort = sink.flush().err().map(|e| io_fault("writing", &output, &e));
     }

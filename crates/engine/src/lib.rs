@@ -18,8 +18,9 @@
 //!   parser's search, so a pathological sentence ends as
 //!   [`EngineError::Timeout`] without a monitor thread.
 //! * **Metrics** — a serializable [`EngineMetrics`] snapshot: throughput,
-//!   per-stage wall-time histograms, link-parser cache hit rates,
-//!   association-method counts, error counts.
+//!   link-parser cache hit rates, association-method counts, error
+//!   counts. [`EngineMetrics::count`] is the one place a record's outcome
+//!   is counted, live or replayed from a journal.
 //! * **Durability** — a write-ahead journal ([`JournalWriter`]) of
 //!   completed records with crash-recovery resume ([`run_journaled`],
 //!   the one journaled-run loop the CLI and the fault sweep share), a
@@ -67,7 +68,8 @@ pub use journal::{
     RunManifest, Snapshot, JOURNAL_VERSION,
 };
 pub use journaled::{
-    run_journaled, JournalOutcome, JournalRun, JournalRunError, RecordSink, RunEvent,
+    error_line, outcome_line, run_journaled, JournalOutcome, JournalRun, JournalRunError,
+    RecordSink, RunEvent,
 };
 pub use metrics::{
     DegradationTotals, DurationHistogram, EngineMetrics, ErrorCounts, MethodCounts,

@@ -1,14 +1,13 @@
 //! Engine throughput, cache and extraction-method metrics.
 //!
-//! Workers record one [`RecordSample`] per record into a thread-local
-//! [`MetricsSink`]; each sink folds into the run's shared
-//! [`MetricsCollector`] once at drain (batch) or once per request
-//! (service), and the engine folds the collector plus its own wall-clock
-//! into a serializable [`EngineMetrics`] snapshot.
+//! [`EngineMetrics`] is the one accumulator. A batch run owns one on the
+//! thread that emits results in input order, a resident service keeps
+//! one behind a lock, and a resumed journal starts one from its
+//! snapshot; each counts a record's outcome with [`EngineMetrics::count`].
 
+use crate::EngineError;
 use cmr_core::{ExtractedRecord, MethodUsed};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of log2 nanosecond buckets: bucket `i` counts durations `d` with
 /// `floor(log2(d)) == i`, i.e. from 1 ns up past 2^39 ns (~9 minutes) —
@@ -66,29 +65,6 @@ impl DurationHistogram {
         self.total_nanos += other.total_nanos;
         self.max_nanos = self.max_nanos.max(other.max_nanos);
     }
-
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_nanos(&self) -> u64 {
-        self.total_nanos.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Upper bound of the bucket holding the `q`-quantile sample
-    /// (`q` in `0.0..=1.0`); 0 when empty. Bucket resolution: the true
-    /// quantile is within a factor of 2 below the returned bound.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max_nanos
-    }
 }
 
 /// Link-parser structure-cache counters, summed across workers.
@@ -114,6 +90,12 @@ impl ParseCacheMetrics {
             self.hits as f64 / lookups as f64
         }
     }
+
+    pub(crate) fn merge(&mut self, other: &ParseCacheMetrics) {
+        self.hits += other.hits;
+        self.shared_hits += other.shared_hits;
+        self.misses += other.misses;
+    }
 }
 
 /// How each field was extracted, summed across all records: one count per
@@ -121,7 +103,7 @@ impl ParseCacheMetrics {
 /// alike). This is the only per-tier tally: the link-grammar tier is
 /// `link_grammar`, the pattern tier is `pattern + year_old + proximity`,
 /// and the salvage tier is `salvage`.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MethodCounts {
     /// Link-grammar graph distance (§3.1's novel approach).
     pub link_grammar: u64,
@@ -149,13 +131,6 @@ impl MethodCounts {
         }
     }
 
-    /// Bumps one counter per entry of `record.methods`.
-    pub(crate) fn count_record(&mut self, record: &ExtractedRecord) {
-        for &method in record.methods.values() {
-            self.count(method);
-        }
-    }
-
     fn merge(&mut self, other: &MethodCounts) {
         self.link_grammar += other.link_grammar;
         self.pattern += other.pattern;
@@ -168,7 +143,7 @@ impl MethodCounts {
 /// Degradation accounting summed across all successful records: how many
 /// link parses failed on sentences that mattered, and how many records
 /// needed the salvage tier at all.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DegradationTotals {
     /// Link-parse failures on sentences carrying an extraction opportunity.
     pub parse_failures: u64,
@@ -178,14 +153,6 @@ pub struct DegradationTotals {
 }
 
 impl DegradationTotals {
-    /// Folds one record into the totals.
-    pub fn add(&mut self, record: &ExtractedRecord) {
-        self.parse_failures += u64::from(record.parse_failures.total());
-        if record.degraded() {
-            self.degraded_records += 1;
-        }
-    }
-
     fn merge(&mut self, other: &DegradationTotals) {
         self.parse_failures += other.parse_failures;
         self.degraded_records += other.degraded_records;
@@ -228,7 +195,7 @@ impl ServiceLatency {
 }
 
 /// Error counters by kind.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ErrorCounts {
     /// Records whose extraction panicked (caught; the batch survives).
     pub panics: u64,
@@ -289,58 +256,37 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Finalizes a collector into a snapshot.
-    pub(crate) fn from_collector(c: &MetricsCollector, jobs: usize, wall_nanos: u64) -> Self {
-        let mut m = EngineMetrics {
-            records: c.records,
-            errors: c.errors,
-            jobs,
-            wall_nanos,
-            records_per_sec: 0.0,
-            parse_cache: c.parse_cache,
-            methods: c.methods,
-            degradation: c.degradation,
-            lint_warnings: 0,
-            quarantined: c.quarantined,
-            service: c.service.clone(),
-            channel_wait_nanos: 0,
-            reorder_buffer_high_water: 0,
-        };
-        if wall_nanos > 0 {
-            m.records_per_sec = m.records as f64 / (wall_nanos as f64 / 1e9);
-        }
-        m
-    }
-
-    /// Folds one replayed journal entry into the deterministic counters
-    /// (`records`, `errors`, `methods`, `degradation`), so a resumed
-    /// run's metrics cover the whole shard instead of just the
-    /// post-resume remainder — which is what lets `cmr merge` report
-    /// corpus totals identical to an uninterrupted run. The replayed
-    /// counts use the same source as the live path (`record.methods`);
-    /// cache counters of replayed records died with the killed process
-    /// and are not reconstructed.
-    pub fn absorb_replayed(
-        &mut self,
-        output: &Result<cmr_core::ExtractedRecord, crate::EngineError>,
-    ) {
-        match output {
+    /// Tallies one record's outcome into `records`, `errors`, `methods`
+    /// and `degradation` — the only code that does. The batch engine's
+    /// ordered sink, each service request and each entry a resumed
+    /// journal replays all come through here, so live, served and
+    /// replayed records count alike. A lint refusal is a run-level
+    /// failure, not a record outcome, and counts nowhere.
+    pub fn count(&mut self, outcome: &Result<ExtractedRecord, EngineError>) {
+        match outcome {
             Ok(record) => {
                 self.records += 1;
-                self.methods.count_record(record);
-                self.degradation.add(record);
+                for &method in record.methods.values() {
+                    self.methods.count(method);
+                }
+                self.degradation.parse_failures += u64::from(record.parse_failures.total());
+                self.degradation.degraded_records += u64::from(record.degraded());
             }
-            Err(crate::EngineError::Panicked { .. }) => self.errors.panics += 1,
-            Err(crate::EngineError::Budget { .. }) => self.errors.budget += 1,
-            Err(crate::EngineError::Timeout { .. }) => self.errors.timeouts += 1,
-            // A lint failure aborts the whole run before any journal
-            // entry is written; a replayed one still counts as a panic
-            // bucket's sibling rather than vanishing.
-            Err(crate::EngineError::Lint { .. }) => self.errors.panics += 1,
+            Err(EngineError::Panicked { .. }) => self.errors.panics += 1,
+            Err(EngineError::Budget { .. }) => self.errors.budget += 1,
+            Err(EngineError::Timeout { .. }) => self.errors.timeouts += 1,
+            Err(EngineError::Lint { .. }) => {}
         }
-        if self.wall_nanos > 0 {
-            self.records_per_sec = self.records as f64 / (self.wall_nanos as f64 / 1e9);
-        }
+    }
+
+    /// Sets the wall time and `records_per_sec`, the rate over it.
+    pub(crate) fn set_wall(&mut self, wall_nanos: u64) {
+        self.wall_nanos = wall_nanos;
+        self.records_per_sec = if wall_nanos > 0 {
+            self.records as f64 / (wall_nanos as f64 / 1e9)
+        } else {
+            0.0
+        };
     }
 
     /// Merges another run's snapshot into this one — how `cmr merge`
@@ -351,142 +297,23 @@ impl EngineMetrics {
     /// concurrently, so the slowest shard is the run's wall time) and
     /// `records_per_sec` is recomputed from the merged totals.
     /// `reorder_buffer_high_water` is a high-water mark and takes the
-    /// max.
+    /// max. `lint_warnings` describes the one compiled-in asset set every
+    /// shard linted, so it takes the max too.
     pub fn merge(&mut self, other: &EngineMetrics) {
         self.records += other.records;
         self.errors.merge(&other.errors);
         self.jobs += other.jobs;
-        self.wall_nanos = self.wall_nanos.max(other.wall_nanos);
-        self.records_per_sec = if self.wall_nanos > 0 {
-            self.records as f64 / (self.wall_nanos as f64 / 1e9)
-        } else {
-            0.0
-        };
-        self.parse_cache.hits += other.parse_cache.hits;
-        self.parse_cache.shared_hits += other.parse_cache.shared_hits;
-        self.parse_cache.misses += other.parse_cache.misses;
+        self.set_wall(self.wall_nanos.max(other.wall_nanos));
+        self.parse_cache.merge(&other.parse_cache);
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
-        self.lint_warnings += other.lint_warnings;
+        self.lint_warnings = self.lint_warnings.max(other.lint_warnings);
         self.quarantined += other.quarantined;
         self.service.merge(&other.service);
         self.channel_wait_nanos += other.channel_wait_nanos;
         self.reorder_buffer_high_water = self
             .reorder_buffer_high_water
             .max(other.reorder_buffer_high_water);
-    }
-}
-
-/// One record's parse-cache counters, produced by a worker from
-/// `ParserStats` deltas.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecordSample {
-    /// Structure-cache hits during this record.
-    pub cache_hits: u64,
-    /// The subset of `cache_hits` served by the pool-wide shared cache.
-    pub shared_hits: u64,
-    /// Structure-cache misses during this record.
-    pub cache_misses: u64,
-}
-
-/// Accumulates worker measurements. One lives behind `Arc<Mutex<..>>` per
-/// engine run, but workers never touch that lock per record: each worker
-/// accumulates into a private collector inside a [`MetricsSink`] and the
-/// sinks merge into the shared one at drain.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsCollector {
-    pub records: u64,
-    pub errors: ErrorCounts,
-    pub parse_cache: ParseCacheMetrics,
-    pub methods: MethodCounts,
-    pub degradation: DegradationTotals,
-    pub quarantined: u64,
-    pub service: ServiceLatency,
-}
-
-impl MetricsCollector {
-    /// Records one successful record.
-    pub fn record_ok(&mut self, sample: RecordSample, record: &ExtractedRecord) {
-        self.records += 1;
-        self.parse_cache.hits += sample.cache_hits;
-        self.parse_cache.shared_hits += sample.shared_hits;
-        self.parse_cache.misses += sample.cache_misses;
-        self.methods.count_record(record);
-        self.degradation.add(record);
-    }
-
-    /// Merges a sibling collector — the drain step of [`MetricsSink`].
-    pub fn merge(&mut self, other: &MetricsCollector) {
-        self.records += other.records;
-        self.errors.merge(&other.errors);
-        self.parse_cache.hits += other.parse_cache.hits;
-        self.parse_cache.shared_hits += other.parse_cache.shared_hits;
-        self.parse_cache.misses += other.parse_cache.misses;
-        self.methods.merge(&other.methods);
-        self.degradation.merge(&other.degradation);
-        self.quarantined += other.quarantined;
-        self.service.merge(&other.service);
-    }
-}
-
-/// Locks a shared metrics collector, recovering from poisoning: the
-/// engine's whole point is that a panicking record must not take the
-/// batch with it, and a worker that panicked *while holding* this lock
-/// leaves only plain counters behind — every update is a field-wise add
-/// with no invariant spanning the lock, so the data is safe to keep
-/// using.
-pub(crate) fn lock_collector(
-    collector: &Mutex<MetricsCollector>,
-) -> MutexGuard<'_, MetricsCollector> {
-    collector.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A worker-local metrics accumulator in front of the run's shared
-/// collector.
-///
-/// Per-record updates go to the private collector through [`with`] —
-/// no lock, no atomic, no sharing. [`publish`] folds the accumulated
-/// counters into the shared collector and resets the local one; dropping
-/// the sink publishes any remainder, which is how batch workers merge
-/// exactly once at drain (worker closures drop inside the pool scope,
-/// before the engine reads the shared collector). Service workers call
-/// [`publish`] at the end of each request instead, so `GET /metrics`
-/// stays fresh while the per-request cost is still one lock, not one per
-/// counter update.
-///
-/// [`with`]: MetricsSink::with
-/// [`publish`]: MetricsSink::publish
-#[derive(Debug)]
-pub(crate) struct MetricsSink {
-    local: std::cell::RefCell<MetricsCollector>,
-    global: Arc<Mutex<MetricsCollector>>,
-}
-
-impl MetricsSink {
-    /// A sink draining into `global`.
-    pub fn new(global: Arc<Mutex<MetricsCollector>>) -> MetricsSink {
-        MetricsSink {
-            local: std::cell::RefCell::new(MetricsCollector::default()),
-            global,
-        }
-    }
-
-    /// Runs `f` against the worker-local collector.
-    pub fn with<R>(&self, f: impl FnOnce(&mut MetricsCollector) -> R) -> R {
-        f(&mut self.local.borrow_mut())
-    }
-
-    /// Folds the local counters into the shared collector and resets the
-    /// local ones.
-    pub fn publish(&self) {
-        let local = std::mem::take(&mut *self.local.borrow_mut());
-        lock_collector(&self.global).merge(&local);
-    }
-}
-
-impl Drop for MetricsSink {
-    fn drop(&mut self) {
-        self.publish();
     }
 }
 
@@ -508,11 +335,10 @@ mod tests {
         assert_eq!(h.buckets[10], 1);
         assert_eq!(h.max_nanos, 1024);
         assert_eq!(h.total_nanos, 1030);
-        assert_eq!(h.mean_nanos(), 206);
     }
 
     #[test]
-    fn histogram_merge_and_quantile() {
+    fn histogram_merge() {
         let mut a = DurationHistogram::default();
         let mut b = DurationHistogram::default();
         for _ in 0..99 {
@@ -521,9 +347,10 @@ mod tests {
         b.record(1_000_000); // bucket 19
         a.merge(&b);
         assert_eq!(a.count, 100);
-        assert_eq!(a.quantile_upper_bound(0.5), 128);
-        assert!(a.quantile_upper_bound(1.0) >= 1_000_000);
-        assert_eq!(DurationHistogram::default().quantile_upper_bound(0.5), 0);
+        assert_eq!(a.buckets[6], 99);
+        assert_eq!(a.buckets[19], 1);
+        assert_eq!(a.total_nanos, 1_009_900);
+        assert_eq!(a.max_nanos, 1_000_000);
     }
 
     #[test]
@@ -568,25 +395,24 @@ mod tests {
 
     #[test]
     fn metrics_serialize_roundtrip() {
-        let mut c = MetricsCollector::default();
+        let mut m = EngineMetrics::default();
         let mut record = record_with_methods(&[
             ("age", MethodUsed::LinkGrammar),
             ("past_medical_history", MethodUsed::Pattern),
             ("pulse", MethodUsed::Salvage),
         ]);
         record.parse_failures.no_linkage = 2;
-        c.record_ok(
-            RecordSample {
-                cache_hits: 2,
-                shared_hits: 1,
-                cache_misses: 1,
-            },
-            &record,
-        );
-        c.errors.panics = 1;
-        c.errors.timeouts = 2;
-        c.quarantined = 1;
-        let mut m = EngineMetrics::from_collector(&c, 4, 2_000_000_000);
+        m.count(&Ok(record));
+        m.parse_cache.merge(&ParseCacheMetrics {
+            hits: 2,
+            shared_hits: 1,
+            misses: 1,
+        });
+        m.errors.panics = 1;
+        m.errors.timeouts = 2;
+        m.quarantined = 1;
+        m.jobs = 4;
+        m.set_wall(2_000_000_000);
         m.channel_wait_nanos = 123_456_789;
         m.reorder_buffer_high_water = 42;
         assert_eq!(m.records, 1);
@@ -616,13 +442,12 @@ mod tests {
     /// — even a century of nanoseconds fits in 62 bits).
     #[test]
     fn service_latency_serialize_roundtrip() {
-        let mut c = MetricsCollector::default();
-        c.service.extract.record(1_500_000); // 1.5 ms request
-        c.service.extract.record(40_000_000_000); // pathological 40 s
-        c.service.batch.record(250_000_000);
-        c.service.batch_record.record(800_000);
-        c.service.batch_record.record(1u64 << 62); // largest representable class
-        let m = EngineMetrics::from_collector(&c, 2, 1_000_000_000);
+        let mut m = EngineMetrics::default();
+        m.service.extract.record(1_500_000); // 1.5 ms request
+        m.service.extract.record(40_000_000_000); // pathological 40 s
+        m.service.batch.record(250_000_000);
+        m.service.batch_record.record(800_000);
+        m.service.batch_record.record(1u64 << 62); // largest representable class
         let json = serde_json::to_string(&m).expect("serializes");
         let back: EngineMetrics = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(back.service.extract.count, 2);
@@ -664,34 +489,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_publishes_on_drop_and_on_demand() {
-        let global = Arc::new(Mutex::new(MetricsCollector::default()));
-        {
-            let sink = MetricsSink::new(Arc::clone(&global));
-            sink.with(|c| c.quarantined += 2);
-            assert_eq!(
-                lock_collector(&global).quarantined,
-                0,
-                "local counts must not leak before publish"
-            );
-            sink.publish();
-            assert_eq!(lock_collector(&global).quarantined, 2);
-            // Publish resets the local side: no double counting.
-            sink.publish();
-            assert_eq!(lock_collector(&global).quarantined, 2);
-            sink.with(|c| c.errors.panics += 1);
-        } // drop publishes the remainder
-        let c = lock_collector(&global);
-        assert_eq!(c.quarantined, 2);
-        assert_eq!(c.errors.panics, 1);
-    }
-
-    #[test]
     fn engine_metrics_merge_sums_counters_and_maxes_wall() {
         let mut a = EngineMetrics {
             records: 10,
             jobs: 2,
             wall_nanos: 2_000_000_000,
+            lint_warnings: 2,
             ..Default::default()
         };
         a.methods.pattern = 3;
@@ -702,6 +505,7 @@ mod tests {
             wall_nanos: 4_000_000_000,
             quarantined: 1,
             reorder_buffer_high_water: 7,
+            lint_warnings: 2,
             ..Default::default()
         };
         b.methods.pattern = 1;
@@ -716,33 +520,37 @@ mod tests {
         assert_eq!(a.parse_cache.misses, 2);
         assert_eq!(a.quarantined, 1);
         assert_eq!(a.reorder_buffer_high_water, 7);
+        assert_eq!(
+            a.lint_warnings, 2,
+            "every shard lints the same assets: warnings are not summed"
+        );
     }
 
     #[test]
-    fn absorb_replayed_matches_live_counting() {
-        use crate::EngineError;
+    fn count_tallies_each_outcome_kind() {
         let mut record = record_with_methods(&[
             ("pulse", MethodUsed::LinkGrammar),
             ("weight", MethodUsed::Salvage),
         ]);
         record.parse_failures.too_long = 1;
-        let mut live = MetricsCollector::default();
-        live.record_ok(RecordSample::default(), &record);
         let mut m = EngineMetrics::default();
-        m.absorb_replayed(&Ok(record));
-        m.absorb_replayed(&Err(EngineError::Budget { sentences_done: 3 }));
-        m.absorb_replayed(&Err(EngineError::Timeout { millis: 10 }));
+        m.count(&Ok(record));
+        m.count(&Err(EngineError::Budget { sentences_done: 3 }));
+        m.count(&Err(EngineError::Timeout { millis: 10 }));
+        m.count(&Err(EngineError::Panicked {
+            message: "boom".into(),
+        }));
+        m.count(&Err(EngineError::Lint {
+            message: "broken asset".into(),
+        }));
         assert_eq!(m.records, 1);
-        assert_eq!(m.methods.link_grammar, live.methods.link_grammar);
-        assert_eq!(m.methods.salvage, live.methods.salvage);
+        assert_eq!(m.methods.link_grammar, 1);
         assert_eq!(m.methods.salvage, 1);
-        assert_eq!(
-            m.degradation.parse_failures,
-            live.degradation.parse_failures
-        );
+        assert_eq!(m.degradation.parse_failures, 1);
         assert_eq!(m.degradation.degraded_records, 1);
         assert_eq!(m.errors.budget, 1);
         assert_eq!(m.errors.timeouts, 1);
+        assert_eq!(m.errors.panics, 1, "a lint refusal is not a panic");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One poisoned record, as serialized into the quarantine file.
@@ -33,6 +34,8 @@ pub struct QuarantineEntry {
 #[derive(Debug)]
 pub struct QuarantineFile {
     inner: Mutex<File>,
+    /// Entries fully written since the file was opened.
+    written: AtomicU64,
     /// Entry indices are rewritten to `base + index * stride` at append
     /// time: a shard run (`--shard i/N`) quarantines under *global*
     /// corpus indices, so merged quarantine files from different shards
@@ -46,6 +49,7 @@ impl QuarantineFile {
     pub fn create(path: &Path) -> std::io::Result<QuarantineFile> {
         Ok(QuarantineFile {
             inner: Mutex::new(File::create(path)?),
+            written: AtomicU64::new(0),
             index_base: 0,
             index_stride: 1,
         })
@@ -64,6 +68,7 @@ impl QuarantineFile {
                     .append(true)
                     .open(path)?,
             ),
+            written: AtomicU64::new(0),
             index_base: 0,
             index_stride: 1,
         })
@@ -112,7 +117,18 @@ impl QuarantineFile {
             }
             return false;
         }
-        file.write_all(line.as_bytes()).is_ok() && file.flush().is_ok()
+        let ok = file.write_all(line.as_bytes()).is_ok() && file.flush().is_ok();
+        if ok {
+            self.written.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
+    }
+
+    /// Entries fully written since the file was opened — what
+    /// [`EngineMetrics::quarantined`](crate::EngineMetrics::quarantined)
+    /// reports.
+    pub fn written(&self) -> u64 {
+        self.written.load(Ordering::Relaxed)
     }
 }
 
@@ -170,6 +186,7 @@ mod tests {
             error: EngineError::Timeout { millis: 50 },
         };
         assert!(q.append(&entry));
+        assert_eq!(q.written(), 1);
         let back = read_quarantine(&path).unwrap();
         assert_eq!(back, vec![entry]);
         let _ = std::fs::remove_file(&path);

@@ -1,8 +1,8 @@
 //! Resident-service support: the engine's warm state, held across requests.
 //!
 //! The batch engine ([`crate::Engine`]) builds its world per run — the
-//! shared parse cache and the metrics collector live for one
-//! `extract_stream` call. A resident process (`cmr serve`) needs the same
+//! shared parse cache and the metrics live for one `extract_stream`
+//! call. A resident process (`cmr serve`) needs the same
 //! pieces to live for the *process*: the first request warms the caches and
 //! every later request benefits. [`ServiceHandle`] is that long-lived core:
 //!
@@ -10,7 +10,7 @@
 //!   interner, which is warm by construction),
 //! * the once-per-process startup lint gate — a handle cannot be built
 //!   over broken rule assets,
-//! * one metrics collector accumulating [`EngineMetrics`] since startup,
+//! * one [`EngineMetrics`] behind a lock, accumulating since startup,
 //!   including the request-latency histograms in
 //!   [`EngineMetrics::service`].
 //!
@@ -21,11 +21,13 @@
 //! (`extract_isolated`), so a poison request costs one worker at most one
 //! deadline, never the process.
 
-use crate::engine::{extract_isolated, startup_lint, Engine, EngineConfig, EngineError, WorkerCtx};
-use crate::metrics::{lock_collector, EngineMetrics, MetricsCollector, MetricsSink};
+use crate::engine::{
+    extract_isolated, startup_lint, tally, Engine, EngineConfig, EngineError, WorkerCtx,
+};
+use crate::metrics::EngineMetrics;
 use cmr_core::{ExtractedRecord, Pipeline, Schema, SharedParseCache};
 use cmr_ontology::Ontology;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which service latency histogram a request sample belongs to.
@@ -47,7 +49,7 @@ pub struct ServiceHandle {
     schema: Arc<Schema>,
     ontology: Arc<Ontology>,
     parse_cache: SharedParseCache,
-    collector: Arc<Mutex<MetricsCollector>>,
+    metrics: Mutex<EngineMetrics>,
     lint_warnings: u64,
     started: Instant,
 }
@@ -73,7 +75,7 @@ impl ServiceHandle {
             schema: schema.into(),
             ontology: ontology.into(),
             parse_cache: SharedParseCache::new(),
-            collector: Arc::new(Mutex::new(MetricsCollector::default())),
+            metrics: Mutex::new(EngineMetrics::default()),
             lint_warnings: lint.warnings,
             started: Instant::now(),
         }))
@@ -114,19 +116,25 @@ impl ServiceHandle {
         .with_salvage(self.cfg.salvage)
         .with_shared_parse_cache(self.parse_cache.clone());
         ServiceWorker {
-            sink: MetricsSink::new(Arc::clone(&self.collector)),
             service: Arc::clone(self),
             pipeline,
         }
     }
 
+    /// Locks the cumulative metrics, recovering from poisoning: every
+    /// update under this lock is a field-wise add with no invariant
+    /// spanning it, so a panic while it was held leaves usable counters.
+    fn lock_metrics(&self) -> MutexGuard<'_, EngineMetrics> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one request-latency sample into the cumulative metrics.
     pub fn record_latency(&self, kind: LatencyKind, nanos: u64) {
-        let mut c = lock_collector(&self.collector);
+        let mut m = self.lock_metrics();
         let histogram = match kind {
-            LatencyKind::Extract => &mut c.service.extract,
-            LatencyKind::Batch => &mut c.service.batch,
-            LatencyKind::BatchRecord => &mut c.service.batch_record,
+            LatencyKind::Extract => &mut m.service.extract,
+            LatencyKind::Batch => &mut m.service.batch,
+            LatencyKind::BatchRecord => &mut m.service.batch_record,
         };
         histogram.record(nanos);
     }
@@ -135,46 +143,36 @@ impl ServiceHandle {
     /// thus `records_per_sec`) covers the whole uptime, idle included —
     /// it is a service-lifetime rate, not a batch throughput.
     pub fn metrics(&self) -> EngineMetrics {
-        let collector = lock_collector(&self.collector);
-        let mut m = EngineMetrics::from_collector(
-            &collector,
-            self.jobs(),
-            self.started.elapsed().as_nanos() as u64,
-        );
+        let mut m = self.lock_metrics().clone();
+        m.jobs = self.jobs();
         m.lint_warnings = self.lint_warnings;
+        m.set_wall(self.started.elapsed().as_nanos() as u64);
         m
     }
 }
 
-/// One worker's slice of the service: a warm pipeline and a local metrics
-/// sink. Build with [`ServiceHandle::worker`] inside the worker thread.
+/// One worker's slice of the service: a warm pipeline. Build with
+/// [`ServiceHandle::worker`] inside the worker thread.
 pub struct ServiceWorker {
     service: Arc<ServiceHandle>,
     pipeline: Pipeline,
-    /// Worker-local metrics, published into the service-wide collector
-    /// once per request (not once per counter update).
-    sink: MetricsSink,
 }
 
 impl ServiceWorker {
     /// Extracts one note with the per-request protection stack: the
     /// wall-clock deadline (checked inside the link parser's search too),
-    /// the sentence budget, and panic isolation. Metrics
-    /// (stage histograms, cache counters, error counts) accumulate
-    /// lock-free into the worker's sink and fold into the service-wide
-    /// snapshot once per request, so `GET /metrics` stays fresh while the
-    /// shared lock is taken once here rather than per counter update.
+    /// the sentence budget, and panic isolation. The outcome and its
+    /// parse-cache traffic are counted into the service-wide metrics
+    /// under one lock, taken after the extraction.
     pub fn extract(&self, text: &str) -> Result<ExtractedRecord, EngineError> {
         let ctx = WorkerCtx {
             pipeline: &self.pipeline,
             max_record_millis: self.service.cfg.max_record_millis,
             max_record_sentences: self.service.cfg.max_record_sentences,
             quarantine: None,
-            collector: &self.sink,
         };
-        let result = extract_isolated(&ctx, 0, text);
-        self.sink.publish();
-        result
+        let outcome = extract_isolated(&ctx, 0, text);
+        tally(&mut self.service.lock_metrics(), outcome)
     }
 
     /// The shared handle this worker feeds metrics into.

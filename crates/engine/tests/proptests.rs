@@ -3,9 +3,16 @@
 //! sequence — successes and failures alike — must be identical to a
 //! one-worker run, and metrics must stay internally consistent.
 
-use cmr_engine::{read_journal, Engine, EngineConfig, JournalEntry, JournalWriter, RunManifest};
+use cmr_engine::{
+    outcome_line, read_journal, run_journaled, DegradationTotals, Engine, EngineConfig,
+    EngineMetrics, ErrorCounts, JournalEntry, JournalOutcome, JournalRun, JournalWriter,
+    MethodCounts, RunEvent, RunManifest,
+};
 use proptest::prelude::*;
 use std::io::Write;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn engine(jobs: usize) -> Engine {
     Engine::new(
@@ -18,8 +25,113 @@ fn engine(jobs: usize) -> Engine {
     )
 }
 
+/// One [`run_journaled`] pass over `texts` with its output in `out`. With
+/// `stop_after`, the engine's shutdown flag is raised once that many
+/// records are journaled, the way a SIGINT handler stops `cmr extract`.
+fn journaled_pass(
+    cfg: &EngineConfig,
+    texts: &[String],
+    files: (&Path, &Path),
+    resume: bool,
+    compact_every: u64,
+    stop_after: Option<u64>,
+) -> JournalOutcome {
+    let stop = Arc::new(AtomicBool::new(false));
+    let engine = Engine::new(
+        cfg.clone(),
+        cmr_core::Schema::paper(),
+        cmr_ontology::Ontology::full(),
+    )
+    .with_shutdown(Arc::clone(&stop));
+    let run = JournalRun {
+        journal: files.0,
+        output: Some(files.1),
+        resume,
+        compact_every,
+    };
+    let manifest = RunManifest::for_run(cfg, texts);
+    run_journaled(engine, &manifest, texts.iter().cloned(), run, |event| {
+        if matches!(event, RunEvent::Journaled(n) if Some(n) == stop_after) {
+            stop.store(true, Ordering::Relaxed);
+        }
+    })
+    .expect("journaled run")
+}
+
+/// The metrics counts that are a function of the corpus alone.
+fn deterministic_counts(m: &EngineMetrics) -> (u64, ErrorCounts, MethodCounts, DegradationTotals) {
+    (m.records, m.errors, m.methods, m.degradation)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The production resume loop end to end: a [`run_journaled`] run
+    /// stopped by its shutdown flag, then resumed through
+    /// `run_journaled`, writes the bytes and reports the deterministic
+    /// counts of one uninterrupted run — at any compaction interval and
+    /// any stop point, over clean or noisy notes, with or without
+    /// budget failures among them.
+    #[test]
+    fn stopped_and_resumed_journaled_run_matches_an_uninterrupted_one(
+        n in 100usize..160,
+        seed in 0u64..300,
+        noise_pct in 0u32..=30,
+        budget in 0usize..12,
+        compact_every in 0u64..=12,
+        stop_after in 1u64..32,
+    ) {
+        let injector = cmr_corpus::NoiseInjector::from_level(f64::from(noise_pct) / 100.0, seed);
+        let texts: Vec<String> = cmr_corpus::CorpusBuilder::new()
+            .records(n)
+            .seed(seed)
+            .build()
+            .records
+            .iter()
+            .map(|r| injector.corrupt(&r.text))
+            .collect();
+        // A one-record queue keeps the feeder within a few dispatch
+        // chunks of the sink, so the flag usually stops the run short of
+        // the corpus end.
+        let cfg = EngineConfig {
+            jobs: 2,
+            queue_depth: 1,
+            max_record_sentences: (budget > 0).then_some(budget),
+            ..EngineConfig::default()
+        };
+        let mut want = String::new();
+        let uninterrupted = Engine::new(
+            cfg.clone(),
+            cmr_core::Schema::paper(),
+            cmr_ontology::Ontology::full(),
+        )
+        .extract_stream(texts.iter().cloned(), |_, outcome| {
+            want.push_str(&outcome_line(&outcome));
+            want.push('\n');
+        });
+
+        let dir = std::env::temp_dir().join(format!(
+            "cmr-proptest-journaled-{}-{n}-{seed}-{noise_pct}-{budget}-{compact_every}-{stop_after}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let files = (dir.join("run.journal"), dir.join("run.out"));
+        let files = (files.0.as_path(), files.1.as_path());
+        let stopped = journaled_pass(&cfg, &texts, files, false, compact_every, Some(stop_after));
+        prop_assert!(stopped.abort.is_none());
+        prop_assert!(stopped.completed >= stop_after as usize);
+        let resumed = journaled_pass(&cfg, &texts, files, true, compact_every, None);
+        let got = std::fs::read_to_string(files.1).expect("output file");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        prop_assert!(resumed.abort.is_none());
+        prop_assert_eq!(resumed.completed, n);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(
+            deterministic_counts(&resumed.metrics),
+            deterministic_counts(&uninterrupted)
+        );
+    }
 
     /// Any corpus, any worker count 1–8: output identical to serial.
     #[test]

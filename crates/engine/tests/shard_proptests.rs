@@ -239,6 +239,7 @@ proptest! {
                     let snapshot = Snapshot {
                         completed: index + 1,
                         output_fingerprint: fingerprint.as_hex(),
+                        ..Snapshot::default()
                     };
                     journal = JournalWriter::compact(&path, &manifest, &snapshot)
                         .expect("compact");

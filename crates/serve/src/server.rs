@@ -26,7 +26,8 @@ use crate::http::{write_response, ChunkedWriter, Conn, ReadOutcome, Request};
 use crate::ndjson;
 use cmr_core::Schema;
 use cmr_engine::{
-    startup_lint_summary, EngineConfig, EngineError, LatencyKind, ServiceHandle, ServiceWorker,
+    error_line, outcome_line, startup_lint_summary, EngineConfig, EngineError, LatencyKind,
+    ServiceHandle, ServiceWorker,
 };
 use cmr_ontology::Ontology;
 use serde::{Deserialize, Serialize};
@@ -432,8 +433,7 @@ fn close_gracefully(conn: Conn) {
 
 /// `{"error": "..."}` with proper JSON escaping.
 fn error_body(msg: &str) -> Vec<u8> {
-    let quoted = serde_json::to_string(&msg.to_string()).unwrap_or_else(|_| "\"error\"".into());
-    format!("{{\"error\":{quoted}}}").into_bytes()
+    error_line(msg).into_bytes()
 }
 
 /// Routes one request.
@@ -553,12 +553,7 @@ fn extract_batch(
     let process = |note: Result<String, usize>| -> String {
         let line_start = Instant::now();
         let line = match note {
-            Ok(text) => match worker.extract(&text) {
-                Ok(record) => {
-                    serde_json::to_string(&record).unwrap_or_else(|e| error_line(&e.to_string()))
-                }
-                Err(e) => error_line(&e.to_string()),
-            },
+            Ok(text) => outcome_line(&worker.extract(&text)),
             Err(line_no) => error_line(&format!("line {line_no} is not UTF-8")),
         };
         shared.service.record_latency(
@@ -589,11 +584,6 @@ fn extract_batch(
         .service
         .record_latency(LatencyKind::Batch, start.elapsed().as_nanos() as u64);
     result
-}
-
-fn error_line(msg: &str) -> String {
-    let quoted = serde_json::to_string(&msg.to_string()).unwrap_or_else(|_| "\"error\"".into());
-    format!("{{\"error\":{quoted}}}")
 }
 
 /// The bounded ready-connection queue between the accept thread and the

@@ -435,6 +435,111 @@ fn journaled_crash_then_resume_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A run killed after its journal was compacted, then resumed, reports
+/// the metrics of an uninterrupted run: the snapshot carries the counts
+/// of the records it folded away.
+#[test]
+fn compacted_kill_then_resume_keeps_every_count() {
+    let dir = scratch("compacted-metrics");
+    let corpus = dir.join("corpus.ndjson");
+    let generated = cmr()
+        .args(["generate", "--records", "40", "--seed", "42", "--out", "-"])
+        .output()
+        .expect("run cmr generate --out -");
+    assert!(generated.status.success());
+    std::fs::write(&corpus, generated.stdout).expect("write corpus");
+    let extract = |extra: &[&str], out: &std::path::Path| {
+        cmr()
+            .args(["extract", "--ndjson", "--jobs", "2", "--out"])
+            .arg(out)
+            .args(extra)
+            .arg(&corpus)
+            .output()
+            .expect("run cmr extract")
+    };
+    let (full_out, full_metrics) = (dir.join("full.ndjson"), dir.join("full.metrics.json"));
+    let full = extract(
+        &["--metrics", full_metrics.to_str().expect("utf-8 path")],
+        &full_out,
+    );
+    assert!(
+        full.status.success(),
+        "{}",
+        String::from_utf8_lossy(&full.stderr)
+    );
+
+    let journal = dir.join("run.journal");
+    let journal = journal.to_str().expect("utf-8 path");
+    let (out, metrics) = (dir.join("run.ndjson"), dir.join("run.metrics.json"));
+    let killed = extract(
+        &[
+            "--journal",
+            journal,
+            "--compact-every",
+            "10",
+            "--kill-after",
+            "25",
+        ],
+        &out,
+    );
+    assert!(!killed.status.success(), "--kill-after must abort");
+    let resumed = extract(
+        &[
+            "--journal",
+            journal,
+            "--compact-every",
+            "10",
+            "--resume",
+            "--metrics",
+            metrics.to_str().expect("utf-8 path"),
+        ],
+        &out,
+    );
+    assert!(
+        resumed.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&resumed.stderr).contains("(5 replayed)"),
+        "the kill landed after the second compaction: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&out).expect("resumed output"),
+        std::fs::read(&full_out).expect("uninterrupted output"),
+        "resumed output must be byte-identical to the uninterrupted run"
+    );
+
+    let read_doc = |path: &std::path::Path| {
+        let json = std::fs::read_to_string(path).expect("metrics file written");
+        serde_json::parse_value_str(&json).expect("metrics file is valid JSON")
+    };
+    let (want, got) = (read_doc(&full_metrics), read_doc(&metrics));
+    assert_eq!(int_at(&want, "records"), 40);
+    for key in [
+        "records",
+        "errors.panics",
+        "errors.budget",
+        "errors.timeouts",
+        "methods.link_grammar",
+        "methods.pattern",
+        "methods.year_old",
+        "methods.proximity",
+        "methods.salvage",
+        "degradation.parse_failures",
+        "degradation.degraded_records",
+    ] {
+        assert_eq!(
+            int_at(&got, key),
+            int_at(&want, key),
+            "`{key}` after a compacted kill and resume"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_against_a_different_corpus_is_rejected() {
     let dir = scratch("journal-mismatch");
