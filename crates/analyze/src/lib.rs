@@ -11,13 +11,13 @@
 //! assets: [`analyze_assets`] runs an ordered battery of checks, each
 //! emitting structured [`Diagnostic`]s with a stable code (`CMR-D012`), a
 //! severity, the asset path and span, a message and a suggested fix. The
-//! battery is exposed three ways:
+//! assets are compiled-in constants, so the battery runs where they
+//! change, not in every process that uses them:
 //!
 //! * the `cmr lint` CLI subcommand (human, `--format json`, `--format
 //!   sarif`, `--deny warnings` exit codes);
-//! * a library API the batch engine calls at startup (fail fast on
-//!   `Error`-severity findings, count warnings into `EngineMetrics`);
-//! * a CI job that runs `cmr lint --deny warnings` on the committed assets.
+//! * the tier-1 test and the CI job that run `cmr lint --deny warnings`
+//!   on the committed assets.
 //!
 //! ```
 //! use cmr_analyze::{analyze_assets, Severity};
@@ -35,14 +35,15 @@
 pub mod checks;
 mod render;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// How bad a finding is.
 ///
 /// `Error` findings describe assets that will panic or misbehave at
-/// runtime; the engine refuses to start on them. `Warning` findings are
-/// asset bugs (dead rules, shadowed entries) that silently weaken
-/// extraction; `cmr lint --deny warnings` turns them into a failing exit.
+/// runtime; `cmr lint` fails on them at any `--deny` level. `Warning`
+/// findings are asset bugs (dead rules, shadowed entries) that silently
+/// weaken extraction; `cmr lint --deny warnings` turns them into a
+/// failing exit.
 /// `Note` findings flag deliberate-but-suspicious patterns and never fail
 /// a build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -181,27 +182,6 @@ impl Report {
     pub fn render_human(&self, color: bool) -> String {
         render::human(self, color)
     }
-
-    /// Severity rollup, for embedding in machine-readable status surfaces
-    /// (the `cmr serve` health endpoint reports this next to readiness).
-    pub fn summary(&self) -> Summary {
-        Summary {
-            errors: self.errors(),
-            warnings: self.warnings(),
-            notes: self.notes(),
-        }
-    }
-}
-
-/// A serializable severity rollup of a [`Report`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Error-severity findings (the engine refuses to start over these).
-    pub errors: usize,
-    /// Warning-severity findings.
-    pub warnings: usize,
-    /// Note-severity findings (advisory).
-    pub notes: usize,
 }
 
 /// Metadata for one check, used for SARIF rule tables and `cmr lint

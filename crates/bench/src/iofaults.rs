@@ -315,7 +315,10 @@ fn run_journal_schedule(
             resume,
             compact_every: compact_every as u64,
         };
-        let manifest = RunManifest::for_run(cfg, &slices[s]);
+        let manifest = match RunManifest::for_run(cfg, &slices[s]) {
+            Ok(manifest) => manifest,
+            Err(e) => return Some(e),
+        };
         match run_journaled(engine, &manifest, slices[s].iter().cloned(), run, |_| {}) {
             Ok(outcome) => outcome.abort,
             Err(e) => Some(e.to_string()),

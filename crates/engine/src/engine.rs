@@ -12,7 +12,7 @@ use cmr_text::Record;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -85,12 +85,6 @@ pub enum EngineError {
         /// The deadline that was exceeded, milliseconds.
         millis: u64,
     },
-    /// The startup asset lint found `Error`-severity findings; no record
-    /// was processed (a broken rule asset would poison every record).
-    Lint {
-        /// The rendered diagnostics.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -102,9 +96,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Timeout { millis } => {
                 write!(f, "record exceeded its {millis} ms deadline")
-            }
-            EngineError::Lint { message } => {
-                write!(f, "rule assets failed the startup lint:\n{message}")
             }
         }
     }
@@ -229,31 +220,13 @@ impl Engine {
         S: FnMut(usize, Result<ExtractedRecord, EngineError>, &EngineMetrics),
     {
         let jobs = self.cfg.resolved_jobs();
-        // Fail fast when the rule assets are broken: an Error-severity
-        // finding means extraction would misbehave on every record, so the
-        // batch never starts. Warnings only surface in the metrics.
-        let lint = startup_lint();
         let start = Instant::now();
         let quarantined_before = self.quarantine.as_ref().map_or(0, |q| q.written());
-        let mut emit = |idx: usize, outcome: WorkerOutcome| {
+        let pool_stats = self.run_pool(jobs, inputs, |idx, outcome| {
             let result = tally(&mut metrics, outcome);
             sink(idx, result, &metrics);
-        };
-        let pool_stats = if lint.errors > 0 {
-            for (idx, _text) in inputs.enumerate() {
-                emit(
-                    idx,
-                    Err(EngineError::Lint {
-                        message: lint.message.clone(),
-                    }),
-                );
-            }
-            PoolStats::default()
-        } else {
-            self.run_pool(jobs, inputs, emit)
-        };
+        });
         metrics.jobs = jobs;
-        metrics.lint_warnings = lint.warnings;
         metrics.quarantined +=
             self.quarantine.as_ref().map_or(0, |q| q.written()) - quarantined_before;
         metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
@@ -320,61 +293,6 @@ impl Engine {
             emit,
         )
     }
-}
-
-/// The cached outcome of the once-per-process startup asset lint.
-pub(crate) struct LintStatus {
-    pub(crate) errors: usize,
-    pub(crate) warnings: u64,
-    pub(crate) message: String,
-    /// FNV-1a over the full analysis report: changes whenever the
-    /// compiled-in rule assets (or what the analyzer sees in them) change.
-    fingerprint: u64,
-    /// Full severity rollup, for service health endpoints.
-    summary: cmr_analyze::Summary,
-}
-
-/// Lints the committed rule assets once per process; every engine run
-/// consults the cached result. The battery is pure over `&'static` tables,
-/// so one run is valid for the process lifetime.
-pub(crate) fn startup_lint() -> &'static LintStatus {
-    static LINT: OnceLock<LintStatus> = OnceLock::new();
-    LINT.get_or_init(|| {
-        let report = cmr_analyze::analyze_assets();
-        LintStatus {
-            errors: report.errors(),
-            warnings: report.warnings() as u64,
-            message: if report.errors() > 0 {
-                report.render_human(false)
-            } else {
-                String::new()
-            },
-            fingerprint: fnv1a_str(&report.to_json()),
-            summary: report.summary(),
-        }
-    })
-}
-
-/// Fingerprint of the compiled-in rule assets, used by the run journal's
-/// manifest so a resume against a build with different assets is rejected.
-pub fn asset_fingerprint() -> u64 {
-    startup_lint().fingerprint
-}
-
-/// Severity rollup of the once-per-process startup asset lint, for service
-/// health endpoints (`GET /health` reports readiness including the lint
-/// outcome without re-running the analyzer).
-pub fn startup_lint_summary() -> cmr_analyze::Summary {
-    startup_lint().summary
-}
-
-fn fnv1a_str(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Everything one worker needs to process a record: pipeline, budgets,
@@ -501,18 +419,6 @@ mod tests {
         assert_eq!(out.metrics.records, 3);
         assert_eq!(out.metrics.errors.total(), 0);
         assert!(out.metrics.records_per_sec > 0.0);
-    }
-
-    #[test]
-    fn startup_lint_passes_on_committed_assets() {
-        // The committed rule assets must never carry Error findings (the
-        // engine would refuse to start) and currently carry no warnings.
-        let lint = startup_lint();
-        assert_eq!(lint.errors, 0, "{}", lint.message);
-        let out = Engine::new(serial_cfg(), Schema::paper(), Ontology::full())
-            .extract_batch(&[APPENDIX_RECORD]);
-        assert_eq!(out.metrics.lint_warnings, lint.warnings);
-        assert!(out.items[0].is_ok());
     }
 
     #[test]

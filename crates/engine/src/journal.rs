@@ -3,7 +3,7 @@
 //! Format — NDJSON, one flushed line per event:
 //!
 //! ```text
-//! {"version":5,"config_fingerprint":"6c62…","asset_fingerprint":"a3f9…","corpus_hash":"08b1…","records":N}
+//! {"version":6,"config_fingerprint":"6c62…","build_fingerprint":"a3f9…","corpus_hash":"08b1…","records":N}
 //! {"snapshot":{"completed":K,"output_fingerprint":"5e1c…","records":R,"errors":{…},"methods":{…},"degradation":{…}},"crc":"77aa…"}   (optional, at most one)
 //! {"entry":{"index":K,"output":{"Ok":{…extracted record…}}},"crc":"9f3a…"}
 //! {"entry":{"index":K+1,"output":{"Err":{"Budget":{"sentences_done":4}}}},"crc":"08b1…"}
@@ -11,15 +11,15 @@
 //! ```
 //!
 //! The first line is the [`RunManifest`]: fingerprints of everything that
-//! determines the output bytes (engine config, rule assets, the corpus
-//! itself), so a resume against a *different* run is rejected instead of
-//! silently merging incompatible outputs. Each subsequent line is one
-//! completed record, appended from the engine's ordered sink — the sink
-//! runs strictly in input order, so a journal is always a contiguous
-//! prefix `0..k` of the run. Every entry line carries a trailing FNV-1a
-//! checksum of its serialized entry, so a line that *looks* complete but
-//! was assembled from torn fragments (or rotted on disk) is caught, not
-//! parsed.
+//! determines the output bytes (engine config, the `cmr` build with its
+//! compiled-in rule assets, the corpus itself), so a resume against a
+//! *different* run is rejected instead of silently merging incompatible
+//! outputs. Each subsequent line is one completed record, appended from
+//! the engine's ordered sink — the sink runs strictly in input order, so
+//! a journal is always a contiguous prefix `0..k` of the run. Every entry
+//! line carries a trailing FNV-1a checksum of its serialized entry, so a
+//! line that *looks* complete but was assembled from torn fragments (or
+//! rotted on disk) is caught, not parsed.
 //!
 //! Crash tolerance: every line is written with a trailing `\n` in one
 //! `write_all` followed by a flush, so a process killed mid-write leaves
@@ -62,16 +62,18 @@ use crate::metrics::{DegradationTotals, ErrorCounts, MethodCounts};
 use cmr_core::ExtractedRecord;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Journal format version; bumped on any incompatible layout change, and
 /// the only version this build reads. v2 added the per-line entry
 /// checksum; v3 added the optional compaction snapshot line; v4 entry
 /// lines carry records with a per-field `methods` map and top-level
 /// `parse_failures`; v5 snapshots carry the metrics counts of the
-/// records they summarize.
-pub const JOURNAL_VERSION: u32 = 5;
+/// records they summarize; v6 manifests fingerprint the build that wrote
+/// them instead of the asset lint's findings.
+pub const JOURNAL_VERSION: u32 = 6;
 
 /// Identity of a run: everything that determines its output bytes.
 ///
@@ -84,8 +86,9 @@ pub struct RunManifest {
     pub version: u32,
     /// Fingerprint of the output-affecting engine configuration (hex).
     pub config_fingerprint: String,
-    /// Fingerprint of the compiled-in rule assets (hex).
-    pub asset_fingerprint: String,
+    /// [`build_fingerprint`] of the executable that wrote the journal
+    /// (hex).
+    pub build_fingerprint: String,
     /// Hash of the input corpus (order-sensitive, length-prefixed; hex).
     pub corpus_hash: String,
     /// Number of records in the corpus.
@@ -98,22 +101,27 @@ fn hex(fingerprint: u64) -> String {
 }
 
 impl RunManifest {
-    /// The manifest of a fresh run over `texts` with `cfg`.
-    pub fn for_run(cfg: &EngineConfig, texts: &[String]) -> RunManifest {
+    /// The manifest of a fresh run over `texts` with `cfg`. Fails when
+    /// the running executable cannot be read for [`build_fingerprint`].
+    pub fn for_run(cfg: &EngineConfig, texts: &[String]) -> Result<RunManifest, String> {
         RunManifest::for_corpus(cfg, corpus_hash(texts), texts.len())
     }
 
     /// The manifest of a fresh run whose corpus was hashed incrementally
     /// (see [`CorpusHasher`]) — the streaming counterpart of
     /// [`RunManifest::for_run`], for corpora never materialized in memory.
-    pub fn for_corpus(cfg: &EngineConfig, corpus_hash: u64, records: usize) -> RunManifest {
-        RunManifest {
+    pub fn for_corpus(
+        cfg: &EngineConfig,
+        corpus_hash: u64,
+        records: usize,
+    ) -> Result<RunManifest, String> {
+        Ok(RunManifest {
             version: JOURNAL_VERSION,
             config_fingerprint: hex(config_fingerprint(cfg)),
-            asset_fingerprint: hex(crate::engine::asset_fingerprint()),
+            build_fingerprint: hex(build_fingerprint()?),
             corpus_hash: hex(corpus_hash),
             records,
-        }
+        })
     }
 
     /// Explains the first incompatibility with `current`, or `None` when a
@@ -129,8 +137,8 @@ impl RunManifest {
         if self.config_fingerprint != current.config_fingerprint {
             return Some("engine configuration changed since the journal was written".into());
         }
-        if self.asset_fingerprint != current.asset_fingerprint {
-            return Some("rule assets changed since the journal was written".into());
+        if self.build_fingerprint != current.build_fingerprint {
+            return Some("the journal was written by a different cmr build".into());
         }
         if self.records != current.records || self.corpus_hash != current.corpus_hash {
             return Some(format!(
@@ -140,6 +148,12 @@ impl RunManifest {
         }
         None
     }
+}
+
+/// The one manifest field every format version shares.
+#[derive(Deserialize)]
+struct ManifestVersion {
+    version: u32,
 }
 
 /// One journaled record: its input index and its full outcome.
@@ -414,12 +428,28 @@ impl JournalReplay {
                 })
             }
         };
-        let manifest: RunManifest =
-            serde_json::from_str(&first).map_err(|e| JournalError::Corrupt {
-                line: 1,
-                offset: 0,
-                reason: format!("manifest does not parse: {e:?}"),
-            })?;
+        let unparsed = |e: serde_json::Error| JournalError::Corrupt {
+            line: 1,
+            offset: 0,
+            reason: format!("manifest does not parse: {e:?}"),
+        };
+        // Another format version's manifest need not have this version's
+        // fields: only its version is read, and the caller's `mismatch`
+        // check then reports the version.
+        let version = serde_json::from_str::<ManifestVersion>(&first)
+            .map_err(unparsed)?
+            .version;
+        let manifest = if version == JOURNAL_VERSION {
+            serde_json::from_str(&first).map_err(unparsed)?
+        } else {
+            RunManifest {
+                version,
+                config_fingerprint: String::new(),
+                build_fingerprint: String::new(),
+                corpus_hash: String::new(),
+                records: 0,
+            }
+        };
         let mut replay = JournalReplay {
             reader,
             valid_len: first.len() as u64 + 1,
@@ -432,9 +462,7 @@ impl JournalReplay {
             done: false,
         };
         // A journal written by an unsupported format version has lines
-        // this reader cannot judge; stop here so the caller's `mismatch`
-        // check reports the version cleanly instead of a misleading
-        // corruption error.
+        // this reader cannot judge; stop at its manifest.
         if replay.manifest.version != JOURNAL_VERSION {
             replay.done = true;
             return Ok(replay);
@@ -621,6 +649,51 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
+/// Fingerprint of the running `cmr` build: an FNV hash of its
+/// executable's bytes, read once per process. The rule assets are
+/// compiled in, so any rebuild, of assets or of code, changes it.
+/// Linux reads `/proc/self/exe`, which opens the running file even after
+/// it was replaced on disk; elsewhere the file at `current_exe()` is
+/// read. Fails when the executable cannot be read.
+pub fn build_fingerprint() -> Result<u64, String> {
+    static FINGERPRINT: OnceLock<Result<u64, String>> = OnceLock::new();
+    FINGERPRINT
+        .get_or_init(|| {
+            let exe = if cfg!(target_os = "linux") {
+                Ok("/proc/self/exe".into())
+            } else {
+                std::env::current_exe()
+            };
+            exe.and_then(|path| File::open(path).and_then(fnv_words))
+                .map_err(|e| format!("cannot fingerprint the running cmr build: {e}"))
+        })
+        .clone()
+}
+
+/// FNV over a file, folded a little-endian 64-bit word at a time (the
+/// tail byte-wise): a quarter of the multiplies of byte-wise FNV-1a, in
+/// a fixed 64 KiB buffer.
+fn fnv_words(mut file: File) -> std::io::Result<u64> {
+    const CHUNK: u64 = 1 << 16;
+    let mut buf = Vec::with_capacity(CHUNK as usize);
+    let mut hash = FNV_OFFSET;
+    loop {
+        buf.clear();
+        (&mut file).take(CHUNK).read_to_end(&mut buf)?;
+        let mut words = buf.chunks_exact(8);
+        for word in &mut words {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(word);
+            hash ^= u64::from_le_bytes(le);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        hash = fnv1a(words.remainder(), hash);
+        if (buf.len() as u64) < CHUNK {
+            return Ok(hash);
+        }
+    }
+}
+
 /// Order-sensitive FNV-1a hash of the corpus, with each text
 /// length-prefixed so record boundaries are part of the identity.
 pub fn corpus_hash(texts: &[String]) -> u64 {
@@ -783,7 +856,7 @@ mod tests {
         RunManifest {
             version: JOURNAL_VERSION,
             config_fingerprint: hex(11),
-            asset_fingerprint: hex(22),
+            build_fingerprint: hex(22),
             corpus_hash: hex(33),
             records: 3,
         }
@@ -882,6 +955,9 @@ mod tests {
         let mut c = a.clone();
         c.config_fingerprint = hex(99);
         assert!(a.mismatch(&c).unwrap().contains("configuration"));
+        let mut e = a.clone();
+        e.build_fingerprint = hex(99);
+        assert!(a.mismatch(&e).unwrap().contains("different cmr build"));
         let mut d = a.clone();
         d.version = 0;
         assert!(
@@ -1081,6 +1157,27 @@ mod tests {
             }
             other => panic!("expected snapshot corruption, got {other:?}"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn build_fingerprint_reads_the_executable_and_folds_every_byte() {
+        assert!(build_fingerprint().is_ok(), "the test binary is readable");
+        let path = scratch_path("words");
+        // 20 bytes: two whole words and a 4-byte tail.
+        let bytes: Vec<u8> = (1..=20).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let whole = fnv_words(File::open(&path).unwrap()).unwrap();
+        let mut flipped = bytes.clone();
+        flipped[19] ^= 1;
+        std::fs::write(&path, &flipped).unwrap();
+        assert_ne!(fnv_words(File::open(&path).unwrap()).unwrap(), whole);
+        std::fs::write(&path, [&bytes[..], &[0]].concat()).unwrap();
+        assert_ne!(
+            fnv_words(File::open(&path).unwrap()).unwrap(),
+            whole,
+            "a trailing zero byte changes the fingerprint"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -69,7 +69,6 @@ pub fn error_line(message: &str) -> String {
 /// compaction snapshots.
 pub struct RecordSink {
     dest: Dest,
-    failed: u64,
     fingerprint: OutputFingerprint,
     write_error: Option<std::io::Error>,
 }
@@ -98,7 +97,6 @@ impl RecordSink {
     fn new(dest: Dest) -> RecordSink {
         RecordSink {
             dest,
-            failed: 0,
             fingerprint: OutputFingerprint::new(),
             write_error: None,
         }
@@ -106,7 +104,6 @@ impl RecordSink {
 
     /// Writes one record's line.
     pub fn emit(&mut self, result: &Result<ExtractedRecord, EngineError>) {
-        self.failed += u64::from(result.is_err());
         let line = outcome_line(result);
         self.fingerprint.add_line(&line);
         match &mut self.dest {
@@ -135,11 +132,6 @@ impl RecordSink {
                 None => w.flush(),
             },
         }
-    }
-
-    /// Lines emitted as in-band error objects.
-    pub fn failed(&self) -> u64 {
-        self.failed
     }
 }
 
@@ -184,9 +176,6 @@ pub struct JournalOutcome {
     pub metrics: EngineMetrics,
     /// Records the journal accounts for, replayed ones included.
     pub completed: usize,
-    /// Output lines that are in-band error objects, replayed ones
-    /// included.
-    pub failed: u64,
     /// The I/O failure that ended the run early, if one did. The journal
     /// is then a valid prefix, and nothing was emitted beyond it.
     pub abort: Option<String>,
@@ -364,7 +353,6 @@ where
     Ok(JournalOutcome {
         metrics,
         completed: start + journaled as usize,
-        failed: sink.failed,
         abort,
     })
 }

@@ -59,13 +59,11 @@ mod quarantine;
 mod service;
 mod shard;
 
-pub use engine::{
-    asset_fingerprint, startup_lint_summary, BatchOutput, Engine, EngineConfig, EngineError,
-};
+pub use engine::{BatchOutput, Engine, EngineConfig, EngineError};
 pub use journal::{
-    config_fingerprint, corpus_hash, read_journal, verify_output_prefix, CorpusHasher,
-    JournalEntry, JournalError, JournalRead, JournalReplay, JournalWriter, OutputFingerprint,
-    RunManifest, Snapshot, JOURNAL_VERSION,
+    build_fingerprint, config_fingerprint, corpus_hash, read_journal, verify_output_prefix,
+    CorpusHasher, JournalEntry, JournalError, JournalRead, JournalReplay, JournalWriter,
+    OutputFingerprint, RunManifest, Snapshot, JOURNAL_VERSION,
 };
 pub use journaled::{
     error_line, outcome_line, run_journaled, JournalOutcome, JournalRun, JournalRunError,

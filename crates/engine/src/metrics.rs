@@ -239,9 +239,6 @@ pub struct EngineMetrics {
     /// Degradation accounting (parse failures, salvaged records) summed
     /// over successful records.
     pub degradation: DegradationTotals,
-    /// Warning-severity findings from the startup asset lint (the run
-    /// proceeds; `Error` findings fail the batch before it starts).
-    pub lint_warnings: u64,
     /// Failed records appended to the poison-quarantine file.
     pub quarantined: u64,
     /// Request-latency histograms (resident service only; empty for
@@ -260,8 +257,7 @@ impl EngineMetrics {
     /// and `degradation` — the only code that does. The batch engine's
     /// ordered sink, each service request and each entry a resumed
     /// journal replays all come through here, so live, served and
-    /// replayed records count alike. A lint refusal is a run-level
-    /// failure, not a record outcome, and counts nowhere.
+    /// replayed records count alike.
     pub fn count(&mut self, outcome: &Result<ExtractedRecord, EngineError>) {
         match outcome {
             Ok(record) => {
@@ -275,7 +271,6 @@ impl EngineMetrics {
             Err(EngineError::Panicked { .. }) => self.errors.panics += 1,
             Err(EngineError::Budget { .. }) => self.errors.budget += 1,
             Err(EngineError::Timeout { .. }) => self.errors.timeouts += 1,
-            Err(EngineError::Lint { .. }) => {}
         }
     }
 
@@ -297,8 +292,7 @@ impl EngineMetrics {
     /// concurrently, so the slowest shard is the run's wall time) and
     /// `records_per_sec` is recomputed from the merged totals.
     /// `reorder_buffer_high_water` is a high-water mark and takes the
-    /// max. `lint_warnings` describes the one compiled-in asset set every
-    /// shard linted, so it takes the max too.
+    /// max.
     pub fn merge(&mut self, other: &EngineMetrics) {
         self.records += other.records;
         self.errors.merge(&other.errors);
@@ -307,7 +301,6 @@ impl EngineMetrics {
         self.parse_cache.merge(&other.parse_cache);
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
-        self.lint_warnings = self.lint_warnings.max(other.lint_warnings);
         self.quarantined += other.quarantined;
         self.service.merge(&other.service);
         self.channel_wait_nanos += other.channel_wait_nanos;
@@ -494,7 +487,6 @@ mod tests {
             records: 10,
             jobs: 2,
             wall_nanos: 2_000_000_000,
-            lint_warnings: 2,
             ..Default::default()
         };
         a.methods.pattern = 3;
@@ -505,7 +497,6 @@ mod tests {
             wall_nanos: 4_000_000_000,
             quarantined: 1,
             reorder_buffer_high_water: 7,
-            lint_warnings: 2,
             ..Default::default()
         };
         b.methods.pattern = 1;
@@ -520,10 +511,6 @@ mod tests {
         assert_eq!(a.parse_cache.misses, 2);
         assert_eq!(a.quarantined, 1);
         assert_eq!(a.reorder_buffer_high_water, 7);
-        assert_eq!(
-            a.lint_warnings, 2,
-            "every shard lints the same assets: warnings are not summed"
-        );
     }
 
     #[test]
@@ -540,9 +527,6 @@ mod tests {
         m.count(&Err(EngineError::Panicked {
             message: "boom".into(),
         }));
-        m.count(&Err(EngineError::Lint {
-            message: "broken asset".into(),
-        }));
         assert_eq!(m.records, 1);
         assert_eq!(m.methods.link_grammar, 1);
         assert_eq!(m.methods.salvage, 1);
@@ -550,7 +534,7 @@ mod tests {
         assert_eq!(m.degradation.degraded_records, 1);
         assert_eq!(m.errors.budget, 1);
         assert_eq!(m.errors.timeouts, 1);
-        assert_eq!(m.errors.panics, 1, "a lint refusal is not a panic");
+        assert_eq!(m.errors.panics, 1);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!
 //! * one pool-wide [`SharedParseCache`] (plus the process-global string
 //!   interner, which is warm by construction),
-//! * the once-per-process startup lint gate — a handle cannot be built
-//!   over broken rule assets,
 //! * one [`EngineMetrics`] behind a lock, accumulating since startup,
 //!   including the request-latency histograms in
 //!   [`EngineMetrics::service`].
@@ -21,9 +19,7 @@
 //! (`extract_isolated`), so a poison request costs one worker at most one
 //! deadline, never the process.
 
-use crate::engine::{
-    extract_isolated, startup_lint, tally, Engine, EngineConfig, EngineError, WorkerCtx,
-};
+use crate::engine::{extract_isolated, tally, Engine, EngineConfig, EngineError, WorkerCtx};
 use crate::metrics::EngineMetrics;
 use cmr_core::{ExtractedRecord, Pipeline, Schema, SharedParseCache};
 use cmr_ontology::Ontology;
@@ -50,35 +46,24 @@ pub struct ServiceHandle {
     ontology: Arc<Ontology>,
     parse_cache: SharedParseCache,
     metrics: Mutex<EngineMetrics>,
-    lint_warnings: u64,
     started: Instant,
 }
 
 impl ServiceHandle {
-    /// Builds the shared service state. Fails with [`EngineError::Lint`]
-    /// when the compiled-in rule assets carry `Error`-severity findings —
-    /// a service must refuse to come up over a broken knowledge base
-    /// rather than fail every request.
+    /// Builds the shared service state.
     pub fn new(
         cfg: EngineConfig,
         schema: impl Into<Arc<Schema>>,
         ontology: impl Into<Arc<Ontology>>,
-    ) -> Result<Arc<ServiceHandle>, EngineError> {
-        let lint = startup_lint();
-        if lint.errors > 0 {
-            return Err(EngineError::Lint {
-                message: lint.message.clone(),
-            });
-        }
-        Ok(Arc::new(ServiceHandle {
+    ) -> Arc<ServiceHandle> {
+        Arc::new(ServiceHandle {
             cfg,
             schema: schema.into(),
             ontology: ontology.into(),
             parse_cache: SharedParseCache::new(),
             metrics: Mutex::new(EngineMetrics::default()),
-            lint_warnings: lint.warnings,
             started: Instant::now(),
-        }))
+        })
     }
 
     /// The configuration the service was built with.
@@ -89,12 +74,6 @@ impl ServiceHandle {
     /// Resolved worker count: how many workers the server runs.
     pub fn jobs(&self) -> usize {
         self.cfg.resolved_jobs()
-    }
-
-    /// Warning count from the startup asset lint (errors prevent
-    /// construction, so a live handle only ever carries warnings).
-    pub fn lint_warnings(&self) -> u64 {
-        self.lint_warnings
     }
 
     /// Time since the handle was built.
@@ -145,7 +124,6 @@ impl ServiceHandle {
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = self.lock_metrics().clone();
         m.jobs = self.jobs();
-        m.lint_warnings = self.lint_warnings;
         m.set_wall(self.started.elapsed().as_nanos() as u64);
         m
     }
@@ -216,7 +194,7 @@ mod tests {
     use cmr_corpus::APPENDIX_RECORD;
 
     fn handle(cfg: EngineConfig) -> Arc<ServiceHandle> {
-        ServiceHandle::new(cfg, Schema::paper(), Ontology::full()).expect("clean assets")
+        ServiceHandle::new(cfg, Schema::paper(), Ontology::full())
     }
 
     #[test]

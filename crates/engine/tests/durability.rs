@@ -60,7 +60,7 @@ fn kill_at_fixed_record_then_resume_is_byte_identical() {
 
     let k = 3usize;
     let path = scratch("fixed-k.journal");
-    let manifest = RunManifest::for_run(&cfg, &texts);
+    let manifest = RunManifest::for_run(&cfg, &texts).expect("readable test binary");
     {
         let mut journal = JournalWriter::create(&path, &manifest).expect("create journal");
         for (index, output) in uninterrupted.items.iter().take(k).enumerate() {
@@ -79,7 +79,8 @@ fn kill_at_fixed_record_then_resume_is_byte_identical() {
     // process in real life).
     let read = read_journal(&path).expect("journal reads back");
     assert_eq!(
-        read.manifest.mismatch(&RunManifest::for_run(&cfg, &texts)),
+        read.manifest
+            .mismatch(&RunManifest::for_run(&cfg, &texts).expect("readable test binary")),
         None
     );
     assert_eq!(read.entries.len(), k);

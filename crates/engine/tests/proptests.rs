@@ -49,7 +49,7 @@ fn journaled_pass(
         resume,
         compact_every,
     };
-    let manifest = RunManifest::for_run(cfg, texts);
+    let manifest = RunManifest::for_run(cfg, texts).expect("readable test binary");
     run_journaled(engine, &manifest, texts.iter().cloned(), run, |event| {
         if matches!(event, RunEvent::Journaled(n) if Some(n) == stop_after) {
             stop.store(true, Ordering::Relaxed);
@@ -188,7 +188,7 @@ proptest! {
             "cmr-proptest-resume-{}-{n}-{seed}-{k}.journal",
             std::process::id()
         ));
-        let manifest = RunManifest::for_run(&cfg, &texts);
+        let manifest = RunManifest::for_run(&cfg, &texts).expect("readable test binary");
         {
             let mut journal = JournalWriter::create(&path, &manifest).expect("create");
             for (index, output) in uninterrupted.items.iter().take(k).enumerate() {
@@ -208,7 +208,8 @@ proptest! {
         }
 
         let read = read_journal(&path).expect("read back");
-        prop_assert_eq!(read.manifest.mismatch(&RunManifest::for_run(&cfg, &texts)), None);
+        let rebuilt = RunManifest::for_run(&cfg, &texts).expect("readable test binary");
+        prop_assert_eq!(read.manifest.mismatch(&rebuilt), None);
         prop_assert_eq!(read.entries.len(), k);
         let mut merged: Vec<_> = read.entries.into_iter().map(|e| e.output).collect();
         let tail = engine(2).extract_batch(&texts[k..]);

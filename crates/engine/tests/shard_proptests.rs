@@ -116,7 +116,7 @@ proptest! {
                     // with a fresh engine, as `--resume` does.
                     let full = engine(2).extract_batch(&slice);
                     let k = slice.len() * kill_pct / 100;
-                    let manifest = RunManifest::for_run(&cfg, &slice);
+                    let manifest = RunManifest::for_run(&cfg, &slice).expect("readable test binary");
                     let mut journal =
                         JournalWriter::create(&path, &manifest).expect("create journal");
                     for (index, output) in full.items.iter().take(k).enumerate() {
@@ -226,7 +226,7 @@ proptest! {
             "cmr-proptest-compact-{}-{n}-{seed}-{interval}-{kill_pct}.journal",
             std::process::id()
         ));
-        let manifest = RunManifest::for_run(&cfg, &texts);
+        let manifest = RunManifest::for_run(&cfg, &texts).expect("readable test binary");
         {
             let mut journal = JournalWriter::create(&path, &manifest).expect("create");
             let mut fingerprint = OutputFingerprint::new();

@@ -22,7 +22,7 @@
 //!
 //! Endpoints: `POST /extract` (one note in, one record out),
 //! `POST /extract/batch` (NDJSON in, streamed NDJSON out),
-//! `GET /health` (readiness + startup-lint rollup),
+//! `GET /health` (readiness + the build fingerprint),
 //! `GET /metrics` (cumulative [`cmr_engine::EngineMetrics`] including
 //! request-latency histograms).
 

@@ -26,7 +26,7 @@ use crate::http::{write_response, ChunkedWriter, Conn, ReadOutcome, Request};
 use crate::ndjson;
 use cmr_core::Schema;
 use cmr_engine::{
-    error_line, outcome_line, startup_lint_summary, EngineConfig, EngineError, LatencyKind,
+    build_fingerprint, error_line, outcome_line, EngineConfig, EngineError, LatencyKind,
     ServiceHandle, ServiceWorker,
 };
 use cmr_ontology::Ontology;
@@ -96,16 +96,12 @@ impl Default for ServeConfig {
 pub enum ServeError {
     /// Binding the listen address failed.
     Bind(String, io::Error),
-    /// The startup asset lint found errors; the service refuses to come
-    /// up over a broken knowledge base.
-    Lint(String),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Bind(addr, e) => write!(f, "binding {addr}: {e}"),
-            ServeError::Lint(msg) => write!(f, "rule assets failed the startup lint:\n{msg}"),
         }
     }
 }
@@ -132,10 +128,9 @@ struct HealthReport {
     rejected: u64,
     /// Deadline trips since boot (degradation, not failure).
     timeouts: u64,
-    /// Failed records that were quarantined.
-    quarantined: u64,
-    lint: cmr_analyze::Summary,
-    assets: String,
+    /// The build fingerprint a journal manifest records (hex); `null`
+    /// when the executable could not be read.
+    assets: Option<String>,
 }
 
 /// State shared between the accept thread and every worker.
@@ -159,9 +154,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and builds the warm engine state. The startup
-    /// lint gate runs here: a broken rule asset fails `bind`, not the
-    /// first request.
+    /// Binds the listener and builds the warm engine state.
     pub fn bind(cfg: ServeConfig, shutdown: Arc<AtomicBool>) -> Result<Server, ServeError> {
         let engine_cfg = EngineConfig {
             jobs: cfg.jobs,
@@ -169,12 +162,7 @@ impl Server {
             max_record_sentences: cfg.max_sentences,
             ..EngineConfig::default()
         };
-        let service = ServiceHandle::new(engine_cfg, Schema::paper(), Ontology::full()).map_err(
-            |e| match e {
-                EngineError::Lint { message } => ServeError::Lint(message),
-                other => ServeError::Lint(other.to_string()),
-            },
-        )?;
+        let service = ServiceHandle::new(engine_cfg, Schema::paper(), Ontology::full());
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| ServeError::Bind(cfg.addr.clone(), e))?;
         let queue = ConnQueue::new(cfg.queue_depth.max(1));
@@ -454,9 +442,7 @@ fn dispatch(
                 requests: shared.requests.load(Ordering::Relaxed),
                 rejected: shared.rejected.load(Ordering::Relaxed),
                 timeouts: metrics.errors.timeouts,
-                quarantined: metrics.quarantined,
-                lint: startup_lint_summary(),
-                assets: format!("{:016x}", cmr_engine::asset_fingerprint()),
+                assets: build_fingerprint().ok().map(|f| format!("{f:016x}")),
             };
             json_response(stream, 200, &report, keep_alive)
         }
@@ -664,18 +650,12 @@ mod tests {
             requests: 56,
             rejected: 7,
             timeouts: 3,
-            quarantined: 1,
-            lint: cmr_analyze::Summary {
-                errors: 0,
-                warnings: 2,
-                notes: 44,
-            },
-            assets: "00000000deadbeef".to_string(),
+            assets: Some("00000000deadbeef".to_string()),
         };
         let json = serde_json::to_string(&report).expect("serialize");
         for field in [
             "\"timeouts\":3",
-            "\"quarantined\":1",
+            "\"assets\":\"00000000deadbeef\"",
             "\"status\":\"ready\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");

@@ -591,7 +591,7 @@ fn extract(args: &[String]) -> CmdResult {
                     &cfg,
                     hasher.finish(),
                     hasher.records(),
-                ))
+                )?)
             } else {
                 None
             };
@@ -609,7 +609,9 @@ fn extract(args: &[String]) -> CmdResult {
                     .map(|p| fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}")))
                     .collect::<Result<_, _>>()?
             };
-            let manifest = journal.map(|_| RunManifest::for_run(&cfg, &texts));
+            let manifest = journal
+                .map(|_| RunManifest::for_run(&cfg, &texts))
+                .transpose()?;
             (Box::new(texts.into_iter().map(Ok)), manifest)
         }
     };
@@ -632,7 +634,7 @@ fn extract(args: &[String]) -> CmdResult {
         })
     };
 
-    let (metrics, failed, progress) = match (journal, manifest) {
+    let (metrics, progress) = match (journal, manifest) {
         (Some(journal), Some(manifest)) => {
             let total = manifest.records;
             let run = JournalRun {
@@ -691,7 +693,7 @@ fn extract(args: &[String]) -> CmdResult {
                  to finish",
                 outcome.completed
             );
-            (outcome.metrics, outcome.failed, progress)
+            (outcome.metrics, progress)
         }
         _ => {
             let mut sink =
@@ -701,7 +703,7 @@ fn extract(args: &[String]) -> CmdResult {
                 .map_err(|e| format!("writing {out_name}: {e}"))?;
             let extracted = metrics.records + metrics.errors.total();
             let progress = format!("{extracted} record(s) extracted");
-            (metrics, sink.failed(), progress)
+            (metrics, progress)
         }
     };
     let partial = match ended.get() {
@@ -720,6 +722,7 @@ fn extract(args: &[String]) -> CmdResult {
     if stats {
         dump_stats(&metrics)?;
     }
+    let failed = metrics.errors.total();
     if failed > 0 {
         eprintln!("cmr: {failed} record(s) failed (see in-band \"error\" objects)");
     }

@@ -537,6 +537,31 @@ fn compacted_kill_then_resume_keeps_every_count() {
         );
     }
 
+    // Every note is over a 5-sentence budget. The failure count printed
+    // after the resume covers the records before the snapshot too.
+    let journal = dir.join("budget.journal");
+    let journal = journal.to_str().expect("utf-8 path");
+    let budget_run = |extra: &[&str]| {
+        let common = [
+            "--max-sentences",
+            "5",
+            "--journal",
+            journal,
+            "--compact-every",
+            "10",
+        ];
+        extract(&[&common[..], extra].concat(), &out)
+    };
+    let killed = budget_run(&["--kill-after", "25"]);
+    assert!(!killed.status.success(), "--kill-after must abort");
+    let resumed = budget_run(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "resume failed: {stderr}");
+    assert!(
+        stderr.contains("cmr: 40 record(s) failed"),
+        "the failure count covers the compacted records: {stderr}"
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -568,6 +593,46 @@ fn resume_against_a_different_corpus_is_rejected() {
         String::from_utf8_lossy(&out.stderr).contains("cannot resume"),
         "stderr names the refusal: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Same journal and corpus, resumed by a different build: a copy of
+    // the binary with one byte appended (an ELF still runs with trailing
+    // bytes) must refuse the journal.
+    let rebuilt = dir.join("cmr-rebuilt");
+    std::fs::copy(env!("CARGO_BIN_EXE_cmr"), &rebuilt).expect("copy the cmr binary");
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&rebuilt)
+        .and_then(|mut f| f.write_all(&[0]))
+        .expect("append a byte");
+    // A test thread forking while the copy was open for writing holds it
+    // open for a moment, and exec fails with "text file busy": retry.
+    let mut attempts = 0;
+    let out = loop {
+        attempts += 1;
+        match Command::new(&rebuilt)
+            .arg("extract")
+            .arg("--journal")
+            .arg(&journal)
+            .arg("--resume")
+            .args(&notes)
+            .output()
+        {
+            Err(e) if e.kind() == std::io::ErrorKind::ExecutableFileBusy && attempts < 100 => {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            result => break result.expect("run the rebuilt binary"),
+        }
+    };
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "another build's journal is an error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot resume") && stderr.contains("different cmr build"),
+        "stderr names the refusal: {stderr}"
     );
 
     // Same journal and corpus, but written by an older format version:

@@ -155,7 +155,6 @@ fn endpoints_health_extract_metrics_contract() {
     let (status, body) = oneshot(&addr, &get(&addr, "/health"));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"status\":\"ready\""), "{body}");
-    assert!(body.contains("\"lint\""), "{body}");
     assert!(body.contains("\"assets\""), "{body}");
 
     let (status, body) = oneshot(&addr, &post(&addr, "/extract", NOTE));
