@@ -32,16 +32,35 @@ fn corpus(n: usize, seed: u64) -> Vec<String> {
         .collect()
 }
 
-/// A single-sentence record whose link parse takes far longer than the
-/// deadlines used in these tests (~200ms uncancelled: a long coordination
-/// chain near the parser's word limit).
+/// A record whose link parses take far longer than the deadlines used in
+/// these tests: sixteen coordination chains of twelve conjuncts ("Pulse of
+/// 84 and pressure of 90, temperature of 98 …"), each joined by its own
+/// mix of "and" and "," so that every sentence is a distinct shape and a
+/// cold parse. One chain parses in ~10 ms; the record takes ~210 ms
+/// uncancelled (release build, 2-CPU x86-64 box), over 8× a 25 ms deadline.
+/// The deadline covers the whole record, so it trips mid-record.
 fn slow_record() -> String {
-    let mut s = String::from(
-        "Vitals:  pulse of 84 and pressure of 90 and temperature of 98 \
-         and weight of 150 and rate of 20",
-    );
-    s.push_str(" and pulse of 84 and weight of 150 and pulse of 84 and weight of 150");
-    s.push_str(".\n");
+    const ITEMS: [&str; 5] = [
+        "pulse of 84",
+        "pressure of 90",
+        "temperature of 98",
+        "weight of 150",
+        "rate of 20",
+    ];
+    let mut s = String::from("Vitals: ");
+    for chain in 1..=16u32 {
+        s.push_str(" Pulse of 84");
+        for (i, item) in ITEMS.iter().cycle().enumerate().take(12).skip(1) {
+            s.push_str(if chain >> (i - 1) & 1 == 1 {
+                ", "
+            } else {
+                " and "
+            });
+            s.push_str(item);
+        }
+        s.push('.');
+    }
+    s.push('\n');
     s
 }
 

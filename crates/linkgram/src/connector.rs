@@ -7,7 +7,6 @@
 //! position-wise with `*` (or exhaustion) as a wildcard — exactly the rule of
 //! Sleator & Temperley's parser.
 
-use cmr_text::{intern, Sym};
 use std::fmt;
 
 /// Link direction of a connector.
@@ -30,9 +29,6 @@ pub struct Connector {
     pub dir: Dir,
     /// Multi-connector (`@` prefix): may form one *or more* links.
     pub multi: bool,
-    /// Interned base, compared before the subscript strings on the match
-    /// fast path. Kept last so the derived `Ord` still sorts by base text.
-    base_sym: Sym,
 }
 
 impl Connector {
@@ -77,13 +73,7 @@ impl Connector {
             subscript: subscript.to_string(),
             dir,
             multi,
-            base_sym: intern(base),
         })
-    }
-
-    /// Interned base name, for table keys and O(1) equality probes.
-    pub fn base_sym(&self) -> Sym {
-        self.base_sym
     }
 
     /// True when `self` (a right-pointing connector on an earlier word) can
@@ -99,10 +89,7 @@ impl Connector {
             Dir::Left,
             "matches() expects other to point left"
         );
-        if self.base_sym != other.base_sym {
-            return false;
-        }
-        subscripts_unify(&self.subscript, &other.subscript)
+        self.base == other.base && subscripts_unify(&self.subscript, &other.subscript)
     }
 
     /// The label a link formed from this connector pair carries: the base

@@ -38,7 +38,8 @@
 //! | `MX` | head → coordinator ("and", ",")           |
 //! | `N`  | "not" after auxiliary                     |
 
-use crate::expr::{expand, parse_expr, Disjunct};
+use crate::connector::{Connector, Dir};
+use crate::expr::{expand, parse_expr, Disjunct, Expr};
 use cmr_postag::{Tag, TaggedToken};
 use cmr_text::{intern, Sym};
 use std::collections::HashMap;
@@ -297,30 +298,190 @@ impl std::fmt::Display for DictError {
 
 impl std::error::Error for DictError {}
 
+/// Dense id of a connector in the dictionary's [`ConnectorTable`].
+pub(crate) type ConnId = u16;
+
+/// Content id of an interned farthest-first connector list: two lists
+/// with the same connectors in the same order have the same id, whichever
+/// disjuncts they come from.
+pub(crate) type ListId = u32;
+
+/// The id of the empty connector list.
+pub(crate) const EMPTY_LIST: ListId = 0;
+
+/// Every connector of the dictionary, interned once at compile time.
+///
+/// * Each distinct connector (base, subscript, direction, multi flag) has
+///   a dense [`ConnId`].
+/// * The match relation is one bitset row per id: bit `b` of row `a` is
+///   set when `a` and `b` point toward each other and
+///   [`Connector::matches`] links them. That method stays the only
+///   definition of unification; the rows are its precomputed table.
+/// * Every suffix of every disjunct's farthest-first connector list is
+///   interned to a [`ListId`] as a (head, rest) pair, so a list is walked
+///   by id and two lists with equal content share one id.
+#[derive(Debug, Clone)]
+pub(crate) struct ConnectorTable {
+    /// Every distinct connector, sorted: a connector's id is its index.
+    connectors: Vec<Connector>,
+    /// Connector → id, for compiling disjuncts to id lists.
+    ids: HashMap<Connector, ConnId>,
+    /// `u64` words per match row.
+    words: usize,
+    /// Match rows, `words` per connector id.
+    rows: Vec<u64>,
+    /// Interned lists as (head, rest); entry [`EMPTY_LIST`] is a
+    /// placeholder for the empty list.
+    lists: Vec<(ConnId, ListId)>,
+    list_ids: HashMap<(ConnId, ListId), ListId>,
+}
+
+impl ConnectorTable {
+    /// Interns every connector of `exprs` and builds the match rows. Ids
+    /// follow `Connector`'s order, so comparing id lists compares the
+    /// connector lists they stand for.
+    fn build<'a>(exprs: impl Iterator<Item = &'a Expr>) -> ConnectorTable {
+        fn collect<'a>(e: &'a Expr, out: &mut Vec<&'a Connector>) {
+            match e {
+                Expr::Conn(c) => out.push(c),
+                Expr::And(parts) | Expr::Or(parts) => parts.iter().for_each(|p| collect(p, out)),
+                Expr::Opt(inner) | Expr::Cost(inner) => collect(inner, out),
+                Expr::Empty => {}
+            }
+        }
+        let mut found = Vec::new();
+        exprs.for_each(|e| collect(e, &mut found));
+        found.sort_unstable();
+        found.dedup();
+        debug_assert!(found.len() <= ConnId::MAX as usize, "connector ids are u16");
+        let connectors: Vec<Connector> = found.into_iter().cloned().collect();
+        let ids = connectors.iter().cloned().zip(0..).collect();
+        let words = connectors.len().div_ceil(64).max(1);
+        let mut rows = vec![0u64; connectors.len() * words];
+        for (a, ca) in connectors.iter().enumerate() {
+            for (b, cb) in connectors.iter().enumerate() {
+                if ca.dir == Dir::Right && cb.dir == Dir::Left && ca.matches(cb) {
+                    rows[a * words + b / 64] |= 1 << (b % 64);
+                    rows[b * words + a / 64] |= 1 << (a % 64);
+                }
+            }
+        }
+        ConnectorTable {
+            connectors,
+            ids,
+            words,
+            rows,
+            lists: vec![(0, EMPTY_LIST)],
+            list_ids: HashMap::new(),
+        }
+    }
+
+    /// Interns a farthest-first list of connector ids.
+    fn intern_list(&mut self, ids: &[ConnId]) -> ListId {
+        ids.iter().rev().fold(EMPTY_LIST, |rest, &head| {
+            *self.list_ids.entry((head, rest)).or_insert_with(|| {
+                self.lists.push((head, rest));
+                (self.lists.len() - 1) as ListId
+            })
+        })
+    }
+
+    /// Number of interned connectors.
+    pub(crate) fn len(&self) -> usize {
+        self.connectors.len()
+    }
+
+    /// The connector an id names.
+    pub(crate) fn connector(&self, id: ConnId) -> &Connector {
+        &self.connectors[id as usize]
+    }
+
+    /// `u64` words in one connector bitset.
+    pub(crate) fn mask_words(&self) -> usize {
+        self.words
+    }
+
+    /// The ids `id` links with, as a bitset of [`Self::mask_words`] words.
+    pub(crate) fn row(&self, id: ConnId) -> &[u64] {
+        let at = id as usize * self.words;
+        &self.rows[at..at + self.words]
+    }
+
+    /// True when connectors `a` and `b` can form a link (either order).
+    pub(crate) fn links(&self, a: ConnId, b: ConnId) -> bool {
+        has(self.row(a), b)
+    }
+
+    /// Head connector of a non-empty list.
+    pub(crate) fn head(&self, list: ListId) -> ConnId {
+        debug_assert_ne!(list, EMPTY_LIST);
+        self.lists[list as usize].0
+    }
+
+    /// A non-empty list without its head.
+    pub(crate) fn rest(&self, list: ListId) -> ListId {
+        debug_assert_ne!(list, EMPTY_LIST);
+        self.lists[list as usize].1
+    }
+}
+
+/// True when bit `id` is set in `mask`.
+pub(crate) fn has(mask: &[u64], id: ConnId) -> bool {
+    mask[id as usize / 64] >> (id % 64) & 1 == 1
+}
+
+/// The ids set in `mask`, ascending.
+pub(crate) fn ones(mask: &[u64]) -> impl Iterator<Item = ConnId> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &bits)| {
+        (0..64)
+            .filter(move |b| bits >> b & 1 == 1)
+            .map(move |b| (w * 64 + b) as ConnId)
+    })
+}
+
+/// One disjunct in parse-ready form: connector ids farthest first, and
+/// the interned ids of the two whole lists.
+#[derive(Debug, Clone)]
+pub(crate) struct ShapeDisjunct {
+    pub(crate) left: Box<[ConnId]>,
+    pub(crate) right: Box<[ConnId]>,
+    pub(crate) left_list: ListId,
+    pub(crate) right_list: ListId,
+    pub(crate) cost: f64,
+}
+
 /// A class's disjuncts in ready-to-parse form, computed once per
 /// dictionary instead of once per parse:
 ///
-/// * connector lists reversed to the parser's farthest-first order,
+/// * connector lists reversed to the parser's farthest-first order and
+///   interned (see [`ConnectorTable`]),
 /// * sorted by (left, right) shape then cost, duplicates collapsed to the
-///   cheapest (exactly what the parser's old per-parse prune did),
-/// * indexed by the interned base of the farthest (head) connector on each
-///   side, so the region split's candidate scan is a hash probe on a `u32`.
+///   cheapest,
+/// * indexed, for every connector id, by the disjuncts whose farthest
+///   (head) connector on each side links with it, in ascending order, so
+///   the region split's candidate scan is one slice lookup.
 #[derive(Debug, Clone)]
 pub(crate) struct WordShape {
-    pub(crate) disjuncts: Vec<Disjunct>,
-    pub(crate) by_left_head: HashMap<Sym, Vec<u16>>,
-    pub(crate) by_right_head: HashMap<Sym, Vec<u16>>,
+    pub(crate) disjuncts: Vec<ShapeDisjunct>,
+    /// By connector id: the disjuncts whose left head links with it.
+    pub(crate) left_linking: Vec<Box<[u16]>>,
+    /// By connector id: the disjuncts whose right head links with it.
+    pub(crate) right_linking: Vec<Box<[u16]>>,
 }
 
 impl WordShape {
-    fn build(raw: &[Disjunct]) -> WordShape {
-        let mut disjuncts: Vec<Disjunct> = raw
+    fn build(raw: &[Disjunct], table: &mut ConnectorTable) -> WordShape {
+        let farthest_first = |list: &[Connector]| -> Box<[ConnId]> {
+            list.iter().rev().map(|c| table.ids[c]).collect()
+        };
+        let mut disjuncts: Vec<ShapeDisjunct> = raw
             .iter()
-            .map(|d| {
-                let mut nd = d.clone();
-                nd.left.reverse();
-                nd.right.reverse();
-                nd
+            .map(|d| ShapeDisjunct {
+                left: farthest_first(&d.left),
+                right: farthest_first(&d.right),
+                left_list: EMPTY_LIST,
+                right_list: EMPTY_LIST,
+                cost: d.cost,
             })
             .collect();
         disjuncts.sort_by(|a, b| {
@@ -330,23 +491,33 @@ impl WordShape {
         });
         disjuncts.dedup_by(|b, a| a.left == b.left && a.right == b.right);
         debug_assert!(disjuncts.len() <= u16::MAX as usize, "shape index is u16");
-        let mut by_left_head: HashMap<Sym, Vec<u16>> = HashMap::new();
-        let mut by_right_head: HashMap<Sym, Vec<u16>> = HashMap::new();
+        for d in &mut disjuncts {
+            d.left_list = table.intern_list(&d.left);
+            d.right_list = table.intern_list(&d.right);
+        }
+        let mut left_linking = vec![Vec::new(); table.len()];
+        let mut right_linking = vec![Vec::new(); table.len()];
         for (i, d) in disjuncts.iter().enumerate() {
-            if let Some(c) = d.left.first() {
-                by_left_head.entry(c.base_sym()).or_default().push(i as u16);
-            }
-            if let Some(c) = d.right.first() {
-                by_right_head
-                    .entry(c.base_sym())
-                    .or_default()
-                    .push(i as u16);
+            for (head, index) in [
+                (d.left.first(), &mut left_linking),
+                (d.right.first(), &mut right_linking),
+            ] {
+                let Some(&head) = head else { continue };
+                for c in ones(table.row(head)) {
+                    index[c as usize].push(i as u16);
+                }
             }
         }
         WordShape {
             disjuncts,
-            by_left_head,
-            by_right_head,
+            left_linking: left_linking
+                .into_iter()
+                .map(Vec::into_boxed_slice)
+                .collect(),
+            right_linking: right_linking
+                .into_iter()
+                .map(Vec::into_boxed_slice)
+                .collect(),
         }
     }
 }
@@ -359,6 +530,8 @@ pub struct Dictionary {
     /// LEFT-WALL disjuncts, validated at construction so [`Dictionary::wall`]
     /// is infallible.
     wall: Vec<Disjunct>,
+    /// Every connector of every class, interned.
+    connectors: ConnectorTable,
     /// Parse-ready shapes, one per class, indexed by the ids below.
     shapes: Vec<WordShape>,
     /// Word-table lookup keyed on the interned lowercase form: value is the
@@ -392,17 +565,21 @@ impl Dictionary {
     /// Builds the built-in clinical English dictionary, reporting any
     /// definition defect as a [`DictError`] instead of panicking.
     pub fn try_clinical_english() -> Result<Dictionary, DictError> {
-        let mut classes = HashMap::new();
-        let mut shapes = Vec::with_capacity(CLASS_DEFS.len());
-        let mut shape_ids: HashMap<&'static str, u16> = HashMap::new();
+        let mut compiled = Vec::with_capacity(CLASS_DEFS.len());
         for (name, text) in CLASS_DEFS {
             let expr =
                 parse_expr(text).map_err(|error| DictError::BadClass { class: name, error })?;
-            let expanded = expand(&expr, EXPANSION_CAP);
-            shape_ids.insert(name, shapes.len() as u16);
-            shapes.push(WordShape::build(&expanded));
-            classes.insert(*name, expanded);
+            compiled.push((*name, expand(&expr, EXPANSION_CAP), expr));
         }
+        let mut connectors = ConnectorTable::build(compiled.iter().map(|(_, _, e)| e));
+        let mut shapes = Vec::with_capacity(compiled.len());
+        let mut shape_ids: HashMap<&'static str, u16> = HashMap::new();
+        for (name, expanded, _) in &compiled {
+            shape_ids.insert(name, shapes.len() as u16);
+            shapes.push(WordShape::build(expanded, &mut connectors));
+        }
+        let classes: HashMap<&'static str, Vec<Disjunct>> =
+            compiled.into_iter().map(|(name, d, _)| (name, d)).collect();
         let words: HashMap<&'static str, &'static str> = WORD_CLASSES.iter().copied().collect();
         let wall = classes
             .get("LEFT-WALL")
@@ -430,6 +607,7 @@ impl Dictionary {
             classes,
             words,
             wall,
+            connectors,
             shapes,
             word_ids,
             tag_ids,
@@ -478,6 +656,11 @@ impl Dictionary {
             self.tag_ids.get(&tok.tag).map(|&(_, id)| id)?
         };
         self.shapes.get(id as usize)
+    }
+
+    /// The interned connectors and connector lists the shapes refer to.
+    pub(crate) fn connectors(&self) -> &ConnectorTable {
+        &self.connectors
     }
 
     /// Parse-ready LEFT-WALL shape.
@@ -608,6 +791,63 @@ mod tests {
         let d = Dictionary::clinical_english();
         let tagged = PosTagger::new().tag(&tokenize(","));
         assert!(!d.disjuncts(&tagged[0]).is_empty());
+    }
+
+    #[test]
+    fn match_table_agrees_with_connector_matches() {
+        let d = Dictionary::clinical_english();
+        let t = d.connectors();
+        assert!(t.len() > 20, "{} connectors", t.len());
+        let mut links = 0;
+        for a in 0..t.len() as ConnId {
+            for b in 0..t.len() as ConnId {
+                let (ca, cb) = (t.connector(a), t.connector(b));
+                let expected = match (ca.dir, cb.dir) {
+                    (Dir::Right, Dir::Left) => ca.matches(cb),
+                    (Dir::Left, Dir::Right) => cb.matches(ca),
+                    _ => false,
+                };
+                assert_eq!(t.links(a, b), expected, "{ca} with {cb}");
+                links += usize::from(expected);
+            }
+        }
+        assert!(links > 0);
+    }
+
+    #[test]
+    fn connector_ids_follow_connector_order() {
+        // Shapes sort disjuncts by id lists; that is the parser's candidate
+        // order only because ids are assigned in `Connector` order.
+        let d = Dictionary::clinical_english();
+        let t = d.connectors();
+        for a in 1..t.len() as ConnId {
+            assert!(t.connector(a - 1) < t.connector(a));
+        }
+    }
+
+    #[test]
+    fn interned_lists_spell_their_disjuncts() {
+        let d = Dictionary::clinical_english();
+        let t = d.connectors();
+        let walk = |mut list: ListId| {
+            let mut ids = Vec::new();
+            while list != EMPTY_LIST {
+                ids.push(t.head(list));
+                list = t.rest(list);
+            }
+            ids
+        };
+        for shape in &d.shapes {
+            for dj in &shape.disjuncts {
+                assert_eq!(walk(dj.left_list), &dj.left[..]);
+                assert_eq!(walk(dj.right_list), &dj.right[..]);
+            }
+            for (c, linking) in shape.left_linking.iter().enumerate() {
+                for &i in linking.iter() {
+                    assert!(t.links(c as ConnId, shape.disjuncts[i as usize].left[0]));
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! linkages counted: disjunct costs plus a small per-link length penalty, so
 //! the parser prefers close attachments.
 
-use crate::connector::Connector;
-use crate::dict::{Dictionary, WordShape};
+use crate::dict::{
+    has, ConnId, ConnectorTable, Dictionary, ListId, ShapeDisjunct, WordShape, EMPTY_LIST,
+};
 use crate::linkage::{Link, Linkage};
 use cmr_postag::{PosTagger, TaggedToken};
 use cmr_text::{tokenize, Sym};
@@ -545,28 +546,23 @@ impl LinkParser {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(ParseFailure::Cancelled);
         }
-        // Word 0 is the LEFT-WALL; words 1..=n are the sentence tokens.
-        // Shapes (normalized, sorted, deduped, head-indexed disjunct tables)
-        // are compiled once per dictionary; the only per-parse disjunct
-        // state is the live bitmap maintained by `prune`.
-        let mut shapes: Vec<&WordShape> = Vec::with_capacity(tagged.len() + 1);
-        shapes.push(self.dict.wall_shape());
-        for t in tagged {
-            // A word with no disjuncts can never link: fail fast.
-            match self.dict.shape_of(t) {
-                Some(s) if !s.disjuncts.is_empty() => shapes.push(s),
-                _ => return Err(ParseFailure::NoDisjuncts),
-            }
-        }
+        let shapes = shapes_of(&self.dict, tagged)?;
         let n = shapes.len();
+        let table = self.dict.connectors();
         let mut scratch = self.scratch.borrow_mut();
-        let ParseScratch { memo, arena, live } = &mut *scratch;
-        if !prune(&shapes, live) {
+        let ParseScratch {
+            memo,
+            arena,
+            live,
+            masks,
+        } = &mut *scratch;
+        if !prune(table, &shapes, live, masks) {
             return Err(ParseFailure::NoDisjuncts);
         }
         memo.clear();
         arena.clear();
         let mut ctx = Ctx {
+            table,
             shapes: &shapes,
             live: &*live,
             memo,
@@ -582,8 +578,7 @@ impl LinkParser {
             if !ctx.live[0][di] || !d.left.is_empty() {
                 continue;
             }
-            let lref = ctx.list(0, di, Side::Right, 0);
-            if let Some(sol) = ctx.best(0, n as u16, lref, ListRef::EMPTY) {
+            if let Some(sol) = ctx.best(0, n as u16, d.right_list, EMPTY_LIST) {
                 let cost = sol.cost + d.cost;
                 if better(&best, cost) {
                     best = Some(Sol {
@@ -598,7 +593,7 @@ impl LinkParser {
         }
         let sol = best.ok_or(ParseFailure::NoLinkage)?;
         let mut links: Vec<Link> = Vec::new();
-        flatten(ctx.arena, ctx.shapes, sol.links, &mut links);
+        flatten(ctx.arena, table, sol.links, &mut links);
         links.sort_by_key(|l| (l.left, l.right));
         let mut words = vec!["LEFT-WALL".to_string()];
         words.extend(tagged.iter().map(|t| t.token.text.clone()));
@@ -642,6 +637,25 @@ impl LinkParser {
     }
 }
 
+/// The parse-ready shapes of the LEFT-WALL (word 0) and of each token
+/// (words 1..=n). Shapes (sorted, deduped, interned, head-indexed disjunct
+/// tables) are compiled once per dictionary; the only per-parse disjunct
+/// state is the live bitmap maintained by `prune`. A word with no
+/// disjuncts can never link, so it fails the parse before any search.
+fn shapes_of<'d>(
+    dict: &'d Dictionary,
+    tagged: &[TaggedToken],
+) -> Result<Vec<&'d WordShape>, ParseFailure> {
+    std::iter::once(Some(dict.wall_shape()))
+        .chain(
+            tagged
+                .iter()
+                .map(|t| dict.shape_of(t).filter(|s| !s.disjuncts.is_empty())),
+        )
+        .collect::<Option<Vec<_>>>()
+        .ok_or(ParseFailure::NoDisjuncts)
+}
+
 /// The shareable cache entry for one parse outcome; failures keep their
 /// reason so replays report the same [`ParseFailure`].
 fn cache_entry(result: &Result<Linkage, ParseFailure>) -> ShapeEntry {
@@ -667,7 +681,19 @@ fn better(best: &Option<Sol>, cost: f64) -> bool {
 /// complete. Then to fixpoint: kill any disjunct with a connector that no
 /// live disjunct on the proper side could ever match. Returns `false` when
 /// some word has no live disjunct left.
-fn prune(shapes: &[&WordShape], live: &mut Vec<Vec<bool>>) -> bool {
+///
+/// Each round first snapshots, for every word i, two connector bitsets in
+/// `masks`: the OR of the match rows of every right-pointing connector of
+/// the live disjuncts before i (the left-pointing ids something on the
+/// left can link with), and the mirror image from the words after i. A
+/// disjunct survives iff each of its connector ids is set in the mask for
+/// its side: one bit test per connector.
+fn prune(
+    table: &ConnectorTable,
+    shapes: &[&WordShape],
+    live: &mut Vec<Vec<bool>>,
+    masks: &mut Vec<u64>,
+) -> bool {
     let n = shapes.len();
     if live.len() < n {
         live.resize_with(n, Vec::new);
@@ -682,60 +708,37 @@ fn prune(shapes: &[&WordShape], live: &mut Vec<Vec<bool>>) -> bool {
                 .map(|d| d.left.len() <= i && d.right.len() <= n - 1 - i),
         );
     }
-    // Unique connectors available on each side, kept as one monotone list
-    // per direction with per-word prefix cuts: word i sees right-pointing
-    // connectors of words < i as `acc_r[..cut_r[i]]`, and left-pointing
-    // ones of words > i as `acc_l[..cut_l[i]]`. Two flat vectors replace
-    // the per-word accumulator clones of the previous implementation.
-    let mut acc_r: Vec<&Connector> = Vec::new();
-    let mut acc_l: Vec<&Connector> = Vec::new();
-    let mut cut_r: Vec<usize> = vec![0; n];
-    let mut cut_l: Vec<usize> = vec![0; n];
+    let w = table.mask_words();
+    masks.clear();
+    masks.resize(2 * n * w, 0);
+    let (from_left, from_right) = masks.split_at_mut(n * w);
     loop {
-        acc_r.clear();
-        for (i, shape) in shapes.iter().enumerate() {
-            cut_r[i] = acc_r.len();
-            for (di, d) in shape.disjuncts.iter().enumerate() {
-                if !live[i][di] {
-                    continue;
-                }
-                for c in &d.right {
-                    if !acc_r.contains(&c) {
-                        acc_r.push(c);
-                    }
-                }
-            }
+        // from_left[i] = from_left[i-1] | rows of word i-1's right
+        // connectors; from_right[i] = from_right[i+1] | rows of word
+        // i+1's left connectors. The ends stay empty.
+        for i in 1..n {
+            let (before, at) = from_left.split_at_mut(i * w);
+            let mask = &mut at[..w];
+            mask.copy_from_slice(&before[(i - 1) * w..]);
+            let ids = live_disjuncts(shapes[i - 1], &live[i - 1]).flat_map(|d| d.right.iter());
+            or_rows(table, ids, mask);
         }
-        acc_l.clear();
-        for (i, shape) in shapes.iter().enumerate().rev() {
-            cut_l[i] = acc_l.len();
-            for (di, d) in shape.disjuncts.iter().enumerate() {
-                if !live[i][di] {
-                    continue;
-                }
-                for c in &d.left {
-                    if !acc_l.contains(&c) {
-                        acc_l.push(c);
-                    }
-                }
-            }
+        for i in (0..n - 1).rev() {
+            let (at, after) = from_right.split_at_mut((i + 1) * w);
+            let mask = &mut at[i * w..];
+            mask.copy_from_slice(&after[..w]);
+            let ids = live_disjuncts(shapes[i + 1], &live[i + 1]).flat_map(|d| d.left.iter());
+            or_rows(table, ids, mask);
         }
         let mut changed = false;
         for (i, shape) in shapes.iter().enumerate() {
-            let right_avail = &acc_r[..cut_r[i]];
-            let left_avail = &acc_l[..cut_l[i]];
+            let left_ok = &from_left[i * w..(i + 1) * w];
+            let right_ok = &from_right[i * w..(i + 1) * w];
             for (di, d) in shape.disjuncts.iter().enumerate() {
-                if !live[i][di] {
-                    continue;
-                }
-                let ok = d
-                    .left
-                    .iter()
-                    .all(|c| right_avail.iter().any(|rc| rc.matches(c)))
-                    && d.right
-                        .iter()
-                        .all(|c| left_avail.iter().any(|lc| c.matches(lc)));
-                if !ok {
+                if live[i][di]
+                    && !(d.left.iter().all(|&c| has(left_ok, c))
+                        && d.right.iter().all(|&c| has(right_ok, c)))
+                {
                     live[i][di] = false;
                     changed = true;
                 }
@@ -748,39 +751,25 @@ fn prune(shapes: &[&WordShape], live: &mut Vec<Vec<bool>>) -> bool {
     live[..n].iter().all(|row| row.iter().any(|&b| b))
 }
 
-/// Which side of a disjunct a list reference points into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Side {
-    Left,
-    Right,
+/// The disjuncts of `shape` still marked live.
+fn live_disjuncts<'a>(
+    shape: &'a WordShape,
+    live: &'a [bool],
+) -> impl Iterator<Item = &'a ShapeDisjunct> {
+    shape
+        .disjuncts
+        .iter()
+        .zip(live)
+        .filter(|(_, &l)| l)
+        .map(|(d, _)| d)
 }
 
-/// A reference to a suffix of one disjunct's connector list, packed for memo
-/// keys. `EMPTY` is the canonical empty list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ListRef(u64);
-
-impl ListRef {
-    const EMPTY: ListRef = ListRef(u64::MAX);
-
-    fn pack(word: u16, disj: u16, side: Side, offset: u8) -> ListRef {
-        let s = match side {
-            Side::Left => 0u64,
-            Side::Right => 1u64,
-        };
-        ListRef((word as u64) << 32 | (disj as u64) << 16 | s << 8 | offset as u64)
-    }
-
-    fn unpack(self) -> (usize, usize, Side, usize) {
-        let w = (self.0 >> 32) as usize & 0xFFFF;
-        let d = (self.0 >> 16) as usize & 0xFFFF;
-        let side = if (self.0 >> 8) & 1 == 0 {
-            Side::Left
-        } else {
-            Side::Right
-        };
-        let off = (self.0 & 0xFF) as usize;
-        (w, d, side, off)
+/// ORs the match row of every connector in `ids` into `mask`.
+fn or_rows<'a>(table: &ConnectorTable, ids: impl Iterator<Item = &'a ConnId>, mask: &mut [u64]) {
+    for &c in ids {
+        for (m, r) in mask.iter_mut().zip(table.row(c)) {
+            *m |= r;
+        }
     }
 }
 
@@ -797,30 +786,30 @@ struct Sol {
 }
 
 /// Arena node for the link set of a partial solution. A `Leaf` records the
-/// two connector-list heads that matched; the label string is resolved from
-/// them at flatten time, only for the winning solution — candidate links
-/// that lose the cost race never allocate a label.
+/// two connector lists whose heads matched; the label string is resolved
+/// from them at flatten time, only for the winning solution — candidate
+/// links that lose the cost race never allocate a label.
 #[derive(Debug, Clone, Copy)]
 enum ANode {
     Leaf {
         left: u16,
         right: u16,
         /// Right-pointing list on the left word; its head names the link.
-        a: ListRef,
+        a: ListId,
         /// Left-pointing list on the right word.
-        b: ListRef,
+        b: ListId,
     },
     Cat(u32, u32),
 }
 
-fn flatten(arena: &[ANode], shapes: &[&WordShape], idx: u32, out: &mut Vec<Link>) {
+fn flatten(arena: &[ANode], table: &ConnectorTable, idx: u32, out: &mut Vec<Link>) {
     if idx == NIL {
         return;
     }
     match arena[idx as usize] {
         ANode::Leaf { left, right, a, b } => {
-            let ca = head_of(shapes, a).expect("leaf stores a matched head");
-            let cb = head_of(shapes, b).expect("leaf stores a matched head");
+            let ca = table.connector(table.head(a));
+            let cb = table.connector(table.head(b));
             out.push(Link {
                 left: left as usize,
                 right: right as usize,
@@ -828,8 +817,8 @@ fn flatten(arena: &[ANode], shapes: &[&WordShape], idx: u32, out: &mut Vec<Link>
             });
         }
         ANode::Cat(x, y) => {
-            flatten(arena, shapes, x, out);
-            flatten(arena, shapes, y, out);
+            flatten(arena, table, x, out);
+            flatten(arena, table, y, out);
         }
     }
 }
@@ -874,20 +863,28 @@ impl std::hash::Hasher for FxHasher {
 
 type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
+/// A region `(L, R, l, r)`, keyed by the content of its two lists: a
+/// region's best solution depends only on which connectors remain, not on
+/// which disjuncts they came from.
+type Region = (u16, u16, ListId, ListId);
+
 /// Reusable per-parser storage for uncached parses: the region memo, the
-/// link arena, and the live-disjunct bitmap. Cleared (capacity kept) at the
-/// start of each parse, so steady-state parsing stops allocating.
+/// link arena, the live-disjunct bitmap and `prune`'s connector masks.
+/// Cleared (capacity kept) at the start of each parse, so steady-state
+/// parsing stops allocating.
 #[derive(Debug, Clone, Default)]
 struct ParseScratch {
-    memo: HashMap<(u16, u16, ListRef, ListRef), Option<Sol>, FxBuild>,
+    memo: HashMap<Region, Option<Sol>, FxBuild>,
     arena: Vec<ANode>,
     live: Vec<Vec<bool>>,
+    masks: Vec<u64>,
 }
 
 struct Ctx<'a> {
+    table: &'a ConnectorTable,
     shapes: &'a [&'a WordShape],
     live: &'a [Vec<bool>],
-    memo: &'a mut HashMap<(u16, u16, ListRef, ListRef), Option<Sol>, FxBuild>,
+    memo: &'a mut HashMap<Region, Option<Sol>, FxBuild>,
     arena: &'a mut Vec<ANode>,
     /// The record's deadline, compared against the clock every
     /// `CANCEL_FUEL` region calls.
@@ -905,33 +902,12 @@ struct Ctx<'a> {
 const CANCEL_FUEL: u32 = 1024;
 
 impl<'a> Ctx<'a> {
-    /// Builds a list reference, canonicalizing empties.
-    fn list(&self, word: usize, disj: usize, side: Side, offset: usize) -> ListRef {
-        let d = &self.shapes[word].disjuncts[disj];
-        let len = match side {
-            Side::Left => d.left.len(),
-            Side::Right => d.right.len(),
-        };
-        if offset >= len {
-            ListRef::EMPTY
-        } else {
-            ListRef::pack(word as u16, disj as u16, side, offset as u8)
-        }
-    }
-
-    /// Head connector of a list reference. The returned borrow is tied to
-    /// the shape tables (`'a`), not to `self`, so it survives `&mut self`
-    /// recursion.
-    fn head(&self, r: ListRef) -> Option<&'a Connector> {
-        head_of(self.shapes, r)
-    }
-
     fn node(&mut self, node: ANode) -> u32 {
         self.arena.push(node);
         (self.arena.len() - 1) as u32
     }
 
-    fn leaf(&mut self, left: u16, right: u16, a: ListRef, b: ListRef) -> u32 {
+    fn leaf(&mut self, left: u16, right: u16, a: ListId, b: ListId) -> u32 {
         self.node(ANode::Leaf { left, right, a, b })
     }
 
@@ -950,24 +926,24 @@ impl<'a> Ctx<'a> {
         self.cat(ab, cd)
     }
 
-    /// The list minus its head.
-    fn advance(&self, r: ListRef) -> ListRef {
-        debug_assert_ne!(r, ListRef::EMPTY);
-        let (w, d, side, off) = r.unpack();
-        self.list(w, d, side, off + 1)
+    /// True when the heads of two lists can link (both lists non-empty).
+    fn linkable(&self, a: ListId, b: ListId) -> bool {
+        a != EMPTY_LIST
+            && b != EMPTY_LIST
+            && self.table.links(self.table.head(a), self.table.head(b))
     }
 
-    /// Successor options after the head matched once: always the advanced
-    /// list; additionally the unchanged list when the head is a
+    /// Successor options after the head matched once: always the rest of
+    /// the list; additionally the unchanged list when the head is a
     /// multi-connector (it may match again, necessarily nearer).
-    fn successors(&self, r: ListRef) -> [Option<ListRef>; 2] {
-        let multi = self.head(r).map(|c| c.multi).unwrap_or(false);
-        [Some(self.advance(r)), if multi { Some(r) } else { None }]
+    fn successors(&self, r: ListId) -> [Option<ListId>; 2] {
+        let multi = self.table.connector(self.table.head(r)).multi;
+        [Some(self.table.rest(r)), if multi { Some(r) } else { None }]
     }
 
     /// Minimum-cost solution for the region `(L, R, l, r)`, or `None` if no
     /// linkage completes it.
-    fn best(&mut self, left: u16, right: u16, l: ListRef, r: ListRef) -> Option<Sol> {
+    fn best(&mut self, left: u16, right: u16, l: ListId, r: ListId) -> Option<Sol> {
         if self.cancelled {
             return None;
         }
@@ -982,7 +958,7 @@ impl<'a> Ctx<'a> {
             }
         }
         if left + 1 == right {
-            return if l == ListRef::EMPTY && r == ListRef::EMPTY {
+            return if l == EMPTY_LIST && r == EMPTY_LIST {
                 Some(Sol {
                     cost: 0.0,
                     links: NIL,
@@ -991,7 +967,7 @@ impl<'a> Ctx<'a> {
                 None
             };
         }
-        if l == ListRef::EMPTY && r == ListRef::EMPTY {
+        if l == EMPTY_LIST && r == EMPTY_LIST {
             // Words remain inside but nothing connects them to L or R.
             return None;
         }
@@ -1006,30 +982,22 @@ impl<'a> Ctx<'a> {
         let mut best: Option<Sol> = None;
         let shapes = self.shapes;
         let live = self.live;
-        if l != ListRef::EMPTY {
-            let head_base = self.head(l).expect("non-empty list").base_sym();
+        if l != EMPTY_LIST {
+            let head = self.table.head(l) as usize;
             for w in (left + 1)..right {
-                let Some(cands) = shapes[w as usize].by_left_head.get(&head_base) else {
-                    continue;
-                };
-                for &di in cands {
-                    if !live[w as usize][di as usize] {
-                        continue;
+                for &di in shapes[w as usize].left_linking[head].iter() {
+                    if live[w as usize][di as usize] {
+                        self.try_left_anchored(left, right, l, r, w, di as usize, &mut best);
                     }
-                    self.try_left_anchored(left, right, l, r, w, di as usize, &mut best);
                 }
             }
         } else {
-            let head_base = self.head(r).expect("non-empty list").base_sym();
+            let head = self.table.head(r) as usize;
             for w in (left + 1)..right {
-                let Some(cands) = shapes[w as usize].by_right_head.get(&head_base) else {
-                    continue;
-                };
-                for &di in cands {
-                    if !live[w as usize][di as usize] {
-                        continue;
+                for &di in shapes[w as usize].right_linking[head].iter() {
+                    if live[w as usize][di as usize] {
+                        self.try_right_anchored(left, right, r, w, di as usize, &mut best);
                     }
-                    self.try_right_anchored(left, right, r, w, di as usize, &mut best);
                 }
             }
         }
@@ -1038,29 +1006,22 @@ impl<'a> Ctx<'a> {
     }
 
     /// Case: `l` non-empty. `W` is the word `l`'s head links to; the link
-    /// uses `W`'s farthest-left connector. `W` may additionally link to `R`.
+    /// uses `W`'s farthest-left connector (the candidate index guarantees
+    /// the two match). `W` may additionally link to `R`.
     #[allow(clippy::too_many_arguments)]
     fn try_left_anchored(
         &mut self,
         left: u16,
         right: u16,
-        l: ListRef,
-        r: ListRef,
+        l: ListId,
+        r: ListId,
         w: u16,
         di: usize,
         best: &mut Option<Sol>,
     ) {
-        let dl = self.list(w as usize, di, Side::Left, 0);
-        let linkable = match (self.head(l), self.head(dl)) {
-            (Some(a), Some(b)) => a.matches(b),
-            _ => false,
-        };
-        if !linkable {
-            return;
-        }
-        let d_cost = self.shapes[w as usize].disjuncts[di].cost;
+        let d = &self.shapes[w as usize].disjuncts[di];
+        let (dl, dr, d_cost) = (d.left_list, d.right_list, d.cost);
         let link_lw_cost = (w - left) as f64 * LENGTH_PENALTY;
-        let dr = self.list(w as usize, di, Side::Right, 0);
 
         for l_next in self.successors(l).into_iter().flatten() {
             for dl_next in self.successors(dl).into_iter().flatten() {
@@ -1077,11 +1038,7 @@ impl<'a> Ctx<'a> {
                     }
                 }
                 // Sub-case B: W also links to R.
-                let wr_linkable = match (self.head(dr), self.head(r)) {
-                    (Some(a), Some(b)) => a.matches(b),
-                    _ => false,
-                };
-                if !wr_linkable {
+                if !self.linkable(dr, r) {
                     continue;
                 }
                 let link_wr_cost = (right - w) as f64 * LENGTH_PENALTY;
@@ -1108,34 +1065,27 @@ impl<'a> Ctx<'a> {
     }
 
     /// Case: `l` empty, `r` non-empty. `W` is the word `r`'s head links to,
-    /// via `W`'s farthest-right connector; `W` cannot link to `L`.
+    /// via `W`'s farthest-right connector (matched by the candidate index);
+    /// `W` cannot link to `L`.
     fn try_right_anchored(
         &mut self,
         left: u16,
         right: u16,
-        r: ListRef,
+        r: ListId,
         w: u16,
         di: usize,
         best: &mut Option<Sol>,
     ) {
-        let dr = self.list(w as usize, di, Side::Right, 0);
-        let linkable = match (self.head(dr), self.head(r)) {
-            (Some(a), Some(b)) => a.matches(b),
-            _ => false,
-        };
-        if !linkable {
-            return;
-        }
-        let d_cost = self.shapes[w as usize].disjuncts[di].cost;
+        let d = &self.shapes[w as usize].disjuncts[di];
+        let (dl, dr, d_cost) = (d.left_list, d.right_list, d.cost);
         let link_wr_cost = (right - w) as f64 * LENGTH_PENALTY;
-        let dl = self.list(w as usize, di, Side::Left, 0);
 
         for dr_next in self.successors(dr).into_iter().flatten() {
             for r_next in self.successors(r).into_iter().flatten() {
                 let Some(inner_right) = self.best(w, right, dr_next, r_next) else {
                     continue;
                 };
-                let Some(inner_left) = self.best(left, w, ListRef::EMPTY, dl) else {
+                let Some(inner_left) = self.best(left, w, EMPTY_LIST, dl) else {
                     continue;
                 };
                 let cost = d_cost + link_wr_cost + inner_left.cost + inner_right.cost;
@@ -1149,23 +1099,10 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Head connector of a list reference, resolved against the shape tables.
-fn head_of<'a>(shapes: &[&'a WordShape], r: ListRef) -> Option<&'a Connector> {
-    if r == ListRef::EMPTY {
-        return None;
-    }
-    let (w, d, side, off) = r.unpack();
-    let disjunct = &shapes[w].disjuncts[d];
-    let list = match side {
-        Side::Left => &disjunct.left,
-        Side::Right => &disjunct.right,
-    };
-    list.get(off)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connector::Connector;
 
     fn parse(text: &str) -> Option<Linkage> {
         LinkParser::new().parse_sentence(text)
@@ -1227,16 +1164,18 @@ mod tests {
 
     #[test]
     fn deadline_passing_mid_search_cancels_the_parse() {
-        // A long coordination chain near the word limit: tens of ms of
-        // region search uncancelled.
+        // A long coordination chain near the word limit: ~6 ms of region
+        // search uncancelled (release build). Both parsers are built before
+        // the clock starts, so `full` times the parse alone, not the
+        // dictionary compile.
         let text = "pulse of 84 and pressure of 90 and temperature of 98 \
                     and weight of 150 and rate of 20 and pulse of 84 and weight of 150 \
                     and pulse of 84 and weight of 150.";
+        let (uncancelled, parser) = (LinkParser::new(), LinkParser::new());
         let full = std::time::Instant::now();
-        assert!(try_parse_text(&LinkParser::new(), text).is_ok());
+        assert!(try_parse_text(&uncancelled, text).is_ok());
         let full = full.elapsed();
 
-        let parser = LinkParser::new();
         let started = Instant::now();
         parser.set_deadline(Some(started + full / 10));
         assert_eq!(
@@ -1284,6 +1223,131 @@ mod tests {
         }
         // The second parser's negative entry reached the shared map too.
         assert!(!shared.is_empty());
+    }
+
+    /// Reference pruning fixpoint: each word's availability is a list of
+    /// connectors, checked with `Connector::matches` over their subscript
+    /// strings, from one snapshot of the live bitmap per round. `prune`
+    /// must leave exactly this bitmap.
+    fn naive_prune(table: &ConnectorTable, shapes: &[&WordShape]) -> (bool, Vec<Vec<bool>>) {
+        let n = shapes.len();
+        let mut live: Vec<Vec<bool>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                s.disjuncts
+                    .iter()
+                    .map(|d| d.left.len() <= i && d.right.len() <= n - 1 - i)
+                    .collect()
+            })
+            .collect();
+        loop {
+            let side = |j: usize, right: bool| -> Vec<&Connector> {
+                live_disjuncts(shapes[j], &live[j])
+                    .flat_map(|d| if right { &d.right } else { &d.left }.iter())
+                    .map(|&c| table.connector(c))
+                    .collect()
+            };
+            let right_avail: Vec<Vec<&Connector>> = (0..n)
+                .map(|i| (0..i).flat_map(|j| side(j, true)).collect())
+                .collect();
+            let left_avail: Vec<Vec<&Connector>> = (0..n)
+                .map(|i| (i + 1..n).flat_map(|j| side(j, false)).collect())
+                .collect();
+            let mut changed = false;
+            for (i, shape) in shapes.iter().enumerate() {
+                for (di, d) in shape.disjuncts.iter().enumerate() {
+                    let ok = d.left.iter().all(|&c| {
+                        right_avail[i]
+                            .iter()
+                            .any(|rc| rc.matches(table.connector(c)))
+                    }) && d.right.iter().all(|&c| {
+                        left_avail[i]
+                            .iter()
+                            .any(|lc| table.connector(c).matches(lc))
+                    });
+                    if live[i][di] && !ok {
+                        live[i][di] = false;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return (live.iter().all(|row| row.iter().any(|&b| b)), live);
+            }
+        }
+    }
+
+    /// `prune` against [`naive_prune`] on one sentence.
+    fn check_prune(dict: &Dictionary, text: &str) -> Result<(), proptest::prelude::TestCaseError> {
+        let mut tagged = PosTagger::new().tag(&tokenize(text));
+        while tagged
+            .last()
+            .is_some_and(|t| t.tag == cmr_postag::Tag::PUNCT)
+        {
+            tagged.pop();
+        }
+        let Ok(shapes) = shapes_of(dict, &tagged) else {
+            return Ok(());
+        };
+        let (mut live, mut masks) = (Vec::new(), Vec::new());
+        let ok = prune(dict.connectors(), &shapes, &mut live, &mut masks);
+        let (want_ok, want) = naive_prune(dict.connectors(), &shapes);
+        proptest::prop_assert_eq!(ok, want_ok, "{}", text);
+        for (w, (got, want)) in live.iter().zip(&want).enumerate() {
+            let first = got.iter().zip(want).position(|(g, w)| g != w);
+            proptest::prop_assert!(
+                first.is_none(),
+                "{text}: word {w} disjunct {first:?} differs from the reference"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn bitset_prune_equals_the_naive_reference_on_long_sentences() {
+        let dict = Dictionary::clinical_english();
+        for text in [
+            "Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds.",
+            "Blood pressure is 139/61, pulse of 99,, temperature 0f 98.8, and weight of 1B2 pounds.",
+            "Menarche at age 10, gravida 4,, para 4,, 1ast menstrual period about a year ago.",
+            "pulse of 84 and pressure of 90 and temperature of 98 and weight of 150 and rate of 20.",
+        ] {
+            check_prune(&dict, text).expect("prunes like the reference");
+        }
+    }
+
+    /// The sentence generator of `tests/invariants.rs`: clinical dictation
+    /// templates with random lexical fill.
+    fn sentences() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let subj = prop::sample::select(vec!["She", "He", "The patient", "Ms. Smith"]);
+        let verb = prop::sample::select(vec!["denies", "reports", "has", "takes", "reveals"]);
+        let obj = prop::sample::select(vec![
+            "alcohol use",
+            "a mass",
+            "diabetes",
+            "chest pain",
+            "the medication",
+            "hypertension and diabetes",
+        ]);
+        let tail = prop::sample::select(vec![
+            "",
+            " today",
+            " without difficulty",
+            " in the left breast",
+            " five years ago",
+        ]);
+        (subj, verb, obj, tail).prop_map(|(s, v, o, t)| format!("{s} {v} {o}{t}."))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bitset_prune_equals_the_naive_reference(text in sentences()) {
+            check_prune(&Dictionary::clinical_english(), &text)?;
+        }
     }
 
     fn labels(linkage: &Linkage) -> Vec<String> {

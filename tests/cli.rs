@@ -775,16 +775,34 @@ fn quarantine_files_the_poison_record_and_the_batch_survives() {
 #[test]
 fn timeout_ms_cancels_a_pathological_parse_and_quarantines_it() {
     let dir = scratch("timeout");
-    // One sentence whose link parse runs far past 25 ms: a long
-    // coordination chain near the parser's word limit.
+    // One record whose link parses run far past 25 ms: sixteen
+    // coordination chains of twelve conjuncts, each joined by its own mix
+    // of "and" and "," so that every sentence is a new shape and a cold
+    // parse (~10 ms each). Uncancelled the record takes ~210 ms on a
+    // 2-CPU x86-64 box (release build), over 8× the deadline.
     let slow = dir.join("slow.txt");
-    std::fs::write(
-        &slow,
-        "Vitals:  pulse of 84 and pressure of 90 and temperature of 98 \
-         and weight of 150 and rate of 20 and pulse of 84 and weight of 150 \
-         and pulse of 84 and weight of 150.\n",
-    )
-    .expect("write slow note");
+    let items = [
+        "pulse of 84",
+        "pressure of 90",
+        "temperature of 98",
+        "weight of 150",
+        "rate of 20",
+    ];
+    let mut note = String::from("Vitals: ");
+    for chain in 1..=16u32 {
+        note.push_str(" Pulse of 84");
+        for (i, item) in items.iter().cycle().enumerate().take(12).skip(1) {
+            note.push_str(if chain >> (i - 1) & 1 == 1 {
+                ", "
+            } else {
+                " and "
+            });
+            note.push_str(item);
+        }
+        note.push('.');
+    }
+    note.push('\n');
+    std::fs::write(&slow, note).expect("write slow note");
     let good = dir.join("good.txt");
     std::fs::write(&good, "Vitals:  Temperature 98.6, weight 150 pounds.\n")
         .expect("write good note");
