@@ -31,7 +31,7 @@ use cmr_postag::{PosTagger, TaggedToken};
 use cmr_text::{tokenize, Sym};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Per-link length penalty: breaks cost ties toward close attachment
@@ -46,23 +46,24 @@ const MAX_WORDS: usize = 48;
 /// Maximum cached parse structures before the cache resets.
 const PARSE_CACHE_CAP: usize = 4096;
 
-/// The parser, holding a compiled [`Dictionary`] and a structure cache.
+/// The parser: the process-wide compiled [`Dictionary`] and a structure
+/// cache.
 ///
 /// The cache exploits a structural fact: a linkage depends only on each
 /// word's *class key* (explicit word-table entry, or POS-tag class), never
 /// on open-vocabulary spellings or number values. Re-parsing "pulse of 84"
 /// after "pulse of 96" is a lookup. The cache makes the parser `!Sync`;
-/// clone it per thread instead (the dictionary is shared behavior, the
-/// cache mere memory).
+/// clone it per thread instead (the dictionary is compiled once per
+/// process and shared, the cache is per-parser memory).
 ///
 /// A pool of per-thread parsers can additionally attach one
 /// [`SharedParseCache`]: each parser still answers from its lock-free local
 /// cache first, and only consults (and feeds) the shared map on a local
 /// miss — so a sentence shape is parsed once per *pool*, not once per
 /// worker, at the cost of one mutex lock per locally-unseen shape.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LinkParser {
-    dict: Dictionary,
+    dict: &'static Dictionary,
     cache: std::cell::RefCell<ShapeCache>,
     shared: Option<SharedParseCache>,
     stats: std::cell::Cell<ParserStats>,
@@ -358,11 +359,25 @@ struct CachedParse {
     cost: f64,
 }
 
+/// The built-in clinical-English dictionary, compiled on first use and
+/// shared by every parser in the process.
+fn clinical_english() -> &'static Dictionary {
+    static DICT: OnceLock<Dictionary> = OnceLock::new();
+    DICT.get_or_init(Dictionary::clinical_english)
+}
+
+impl Default for LinkParser {
+    fn default() -> LinkParser {
+        LinkParser::new()
+    }
+}
+
 impl LinkParser {
     /// Creates a parser over the built-in clinical-English dictionary.
+    /// The first parser in a process compiles it; the rest share it.
     pub fn new() -> LinkParser {
         LinkParser {
-            dict: Dictionary::clinical_english(),
+            dict: clinical_english(),
             cache: std::cell::RefCell::new(ShapeCache::default()),
             shared: None,
             stats: std::cell::Cell::new(ParserStats::default()),
@@ -546,7 +561,7 @@ impl LinkParser {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(ParseFailure::Cancelled);
         }
-        let shapes = shapes_of(&self.dict, tagged)?;
+        let shapes = shapes_of(self.dict, tagged)?;
         let n = shapes.len();
         let table = self.dict.connectors();
         let mut scratch = self.scratch.borrow_mut();
@@ -610,7 +625,7 @@ impl LinkParser {
 
     /// Access the dictionary (diagnostics, tests).
     pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
+        self.dict
     }
 
     /// Drops all cached parse structures (benchmarking, memory pressure).

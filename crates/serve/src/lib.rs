@@ -15,9 +15,10 @@
 //!   pipelining, `Expect: 100-continue`, chunked responses.
 //! * [`ndjson`] — the NDJSON note reader shared by `cmr extract -` and
 //!   the batch endpoint (one definition of "skip blank lines").
-//! * [`Server`] — accept loop, readiness-polled idle set, bounded work
-//!   queue with `429` admission control, worker pool over
-//!   [`cmr_engine::ServiceHandle`], and graceful drain on the shared
+//! * [`Server`] — an accept loop blocked in `poll(2)` on the listener,
+//!   the idle connections and a wake socket; a bounded work queue with
+//!   `429` admission control; a worker pool over
+//!   [`cmr_engine::ServiceHandle`]; and graceful drain on the shared
 //!   shutdown flag.
 //!
 //! Endpoints: `POST /extract` (one note in, one record out),
@@ -26,7 +27,9 @@
 //! `GET /metrics` (cumulative [`cmr_engine::EngineMetrics`] including
 //! request-latency histograms).
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the server's `poll(2)` call (`server::wait_ready`)
+// is the one `#[allow(unsafe_code)]` item; nothing else may be unsafe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
 

@@ -1,26 +1,36 @@
 //! The resident extraction server.
 //!
 //! ```text
-//! accept thread ──► idle set (readiness-polled) ──► bounded work queue ──► workers
-//!       ▲                                                │
-//!       └──────────── keep-alive connections ◄───────────┘
+//!         listener ─┐
+//!      wake socket ─┼─► poll(2) ─► accept thread ─► bounded work queue ─► workers
+//! idle connections ─┘                   ▲                                   │
+//!                                       └──── idle_return + a wake byte ◄───┘
 //! ```
 //!
-//! One thread owns the listener and every *idle* connection: it accepts,
-//! peeks each idle socket for readability (a poor man's `select` — no
-//! `epoll` without `libc`), and moves readable connections into a bounded
-//! work queue. Workers pull a connection, read exactly one request (plus
-//! any pipelined followers already buffered), run it through a warm
-//! [`cmr_engine::ServiceWorker`], respond, and hand the connection back
-//! to the accept thread. Admission control is the queue bound: a readable
-//! connection that does not fit answers `429` with `Retry-After` and
-//! closes — load sheds at the door, not by queueing without bound.
+//! One thread owns the listener and every *idle* connection. It blocks in
+//! `poll(2)` on the listener, on the read end of a wake socket pair, and on
+//! each idle socket, so it runs only when something happened: a
+//! connection arrived, a request byte arrived, or a worker handed a
+//! connection back. Readable connections move into a bounded work queue.
+//! Workers pull a connection, read exactly one request (plus any
+//! pipelined followers already buffered), run it through a warm
+//! [`cmr_engine::ServiceWorker`], respond, push the connection onto
+//! `idle_return`, and write one byte to the wake socket. Admission
+//! control is the queue bound: a readable connection that does not fit
+//! answers `429` with `Retry-After` and closes — load sheds at the door,
+//! not by queueing without bound.
 //!
 //! Shutdown (SIGINT/SIGTERM raising the shared flag) drains: the
 //! listener closes, idle connections drop (clients see a stale keep-alive
 //! close and retry elsewhere), queued and in-flight requests complete
 //! with `Connection: close`, workers exit, and [`Server::run`] returns —
-//! every byte of every accepted request's response is flushed first.
+//! every byte of every accepted request's response is flushed first. A
+//! `poll` wait is bounded by `POLL_TIMEOUT`, so a flag raised without a
+//! signal (an in-process server) is seen without any socket activity.
+//!
+//! `poll` is declared through the C library directly, like the binary's
+//! signal handling: [`wait_ready`] is the crate's one `unsafe` item, and
+//! the crate is Unix-only.
 
 use crate::http::{write_response, ChunkedWriter, Conn, ReadOutcome, Request};
 use crate::ndjson;
@@ -32,22 +42,27 @@ use cmr_engine::{
 use cmr_ontology::Ontology;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ffi::{c_int, c_short};
 use std::io;
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Accept-loop tick: the pause when a pass over the listener and the
-/// idle set found nothing to do. Bounds idle CPU at ~1k peeks/sec/conn
-/// and adds at most ~one tick of latency to request pickup.
-const TICK: Duration = Duration::from_millis(1);
+/// Longest single `poll` wait. Traffic and handed-back connections end a
+/// wait at once; this bound only decides how soon a shutdown flag raised
+/// while nothing else happens is seen.
+const POLL_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// How long a worker waits for the first byte of a request on a
-/// connection the accept thread already saw readable (generous — the
-/// data is normally there before the worker gets the connection).
-const FIRST_BYTE_WAIT: Duration = Duration::from_millis(250);
+/// How long a worker waits for the first byte of a request. The accept
+/// thread queues a connection only after `peek` saw a byte in the
+/// kernel's buffer, so the first read returns at once; this only bounds
+/// a worker that would otherwise camp on a connection with nothing to
+/// read.
+const FIRST_BYTE_WAIT: Duration = Duration::from_millis(10);
 
 /// Per-read deadline once a request has started arriving; a peer that
 /// stalls longer mid-request forfeits the connection.
@@ -138,6 +153,9 @@ struct Shared {
     service: Arc<ServiceHandle>,
     queue: ConnQueue,
     idle_return: Mutex<Vec<Conn>>,
+    /// Write end of the wake socket pair: one byte after each push onto
+    /// `idle_return` ends the accept thread's `poll`.
+    wake: UnixStream,
     shutdown: Arc<AtomicBool>,
     cfg: ServeConfig,
     /// All responses written, any endpoint or status (including `429`).
@@ -150,6 +168,8 @@ struct Shared {
 /// serve loop starts.
 pub struct Server {
     listener: TcpListener,
+    /// Read end of the wake socket pair, polled by the accept thread.
+    wake_rx: UnixStream,
     shared: Arc<Shared>,
 }
 
@@ -166,12 +186,23 @@ impl Server {
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| ServeError::Bind(cfg.addr.clone(), e))?;
         let queue = ConnQueue::new(cfg.queue_depth.max(1));
+        // A socket pair fails only for want of descriptors, which binding
+        // the listener runs into just the same.
+        let (wake, wake_rx) = UnixStream::pair()
+            .and_then(|(tx, rx)| {
+                tx.set_nonblocking(true)?;
+                rx.set_nonblocking(true)?;
+                Ok((tx, rx))
+            })
+            .map_err(|e| ServeError::Bind(cfg.addr.clone(), e))?;
         Ok(Server {
             listener,
+            wake_rx,
             shared: Arc::new(Shared {
                 service,
                 queue,
                 idle_return: Mutex::new(Vec::new()),
+                wake,
                 shutdown,
                 cfg,
                 requests: AtomicU64::new(0),
@@ -187,9 +218,14 @@ impl Server {
 
     /// Serves until the shutdown flag rises, then drains and returns.
     /// Every request accepted into the queue before the drain gets a
-    /// complete response.
+    /// complete response. A failing `poll` drains the same way, then
+    /// returns its error.
     pub fn run(self) -> io::Result<ServeSummary> {
-        let Server { listener, shared } = self;
+        let Server {
+            listener,
+            wake_rx,
+            shared,
+        } = self;
         listener.set_nonblocking(true)?;
         let jobs = shared.service.jobs();
         std::thread::scope(|scope| {
@@ -204,7 +240,7 @@ impl Server {
                 );
             }
 
-            accept_loop(&listener, &shared);
+            let served = accept_loop(&listener, &wake_rx, &shared);
 
             // Drain: no new connections, no revived keep-alives.
             drop(listener);
@@ -214,7 +250,8 @@ impl Server {
             }
             // Connections returned by workers racing the drain.
             shared.idle_return.lock().map(|mut v| v.clear()).ok();
-        });
+            served
+        })?;
         Ok(ServeSummary {
             requests: shared.requests.load(Ordering::Relaxed),
             rejected: shared.rejected.load(Ordering::Relaxed),
@@ -222,44 +259,65 @@ impl Server {
     }
 }
 
-/// The accept thread's loop: accept fresh connections, poll the idle set
-/// for readability, feed the work queue, shed load with `429`.
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    let mut idle: VecDeque<Conn> = VecDeque::new();
+/// The accept thread's loop: wait in `poll` until the listener, the wake
+/// socket or an idle connection is ready, then accept fresh connections,
+/// take back the workers' keep-alives, feed the work queue and shed load
+/// with `429`. Returns when the shutdown flag rises, or with `poll`'s
+/// error.
+fn accept_loop(listener: &TcpListener, wake_rx: &UnixStream, shared: &Shared) -> io::Result<()> {
+    // `fds[0]` is the listener, `fds[1]` the wake socket, and `fds[i + 2]`
+    // is `idle[i]` for every connection that was idle when the wait began.
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut idle: Vec<Conn> = Vec::new();
+    let mut still_idle: Vec<Conn> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             // Stale keep-alives just drop: a client that raced a request
             // into one sees EOF before any response bytes and tries again on
             // a fresh connection (which the closed listener refuses).
             idle.clear();
-            return;
+            return Ok(());
         }
-        let mut progressed = false;
+        fds.clear();
+        fds.push(PollFd::readable(listener.as_raw_fd()));
+        fds.push(PollFd::readable(wake_rx.as_raw_fd()));
+        fds.extend(idle.iter().map(|c| PollFd::readable(c.stream.as_raw_fd())));
+        match wait_ready(&mut fds, POLL_TIMEOUT) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+        let polled = idle.len();
 
-        // Keep-alive connections coming back from workers.
+        // Wake bytes first, then the connections: a worker pushes onto
+        // `idle_return` before it writes its byte, so a byte drained here
+        // belongs to a connection the drain below finds.
+        if fds[1].is_ready() {
+            let mut sink = [0u8; 64];
+            while matches!((&*wake_rx).read(&mut sink), Ok(1..)) {}
+        }
         if let Ok(mut returned) = shared.idle_return.lock() {
             for conn in returned.drain(..) {
                 if conn.stream.set_nonblocking(true).is_ok() {
-                    idle.push_back(conn);
+                    idle.push(conn);
                 }
             }
         }
 
         // Fresh connections enter the idle set; their first request
         // makes them readable like any keep-alive reuse.
-        loop {
+        while fds[0].is_ready() {
             if cmr_failpoint::io_inject("serve::accept").is_some() {
-                // An injected accept fault is transient: skip this pass,
-                // the listener backlog holds the connection for the next.
+                // An injected accept fault is transient: the listener
+                // stays readable and the next wait returns at once.
                 break;
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    progressed = true;
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_write_timeout(Some(COMMIT_TIMEOUT));
                     if stream.set_nonblocking(true).is_ok() {
-                        idle.push_back(Conn::new(stream));
+                        idle.push(Conn::new(stream));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -268,25 +326,15 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             }
         }
 
-        // Readiness pass: move readable connections into the queue.
-        let mut still_idle = VecDeque::with_capacity(idle.len());
-        let mut peek = [0u8; 1];
-        for conn in idle.drain(..) {
-            let readable = if conn.has_buffered() {
-                Some(true)
-            } else {
-                match conn.stream.peek(&mut peek) {
-                    Ok(0) => None, // peer closed while idle
-                    Ok(_) => Some(true),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => Some(false),
-                    Err(_) => None,
-                }
-            };
-            match readable {
-                None => progressed = true, // dropped below
-                Some(false) => still_idle.push_back(conn),
-                Some(true) => {
-                    progressed = true;
+        // Readiness pass: queue the readable connections, drop the closed
+        // ones. Connections that joined after the wait were not polled,
+        // so they are peeked once.
+        for (i, conn) in idle.drain(..).enumerate() {
+            let quiet = i < polled && !fds[i + 2].is_ready();
+            match readiness(&conn, quiet) {
+                Readiness::Quiet => still_idle.push(conn),
+                Readiness::Closed => {}
+                Readiness::Readable => {
                     if conn.stream.set_nonblocking(false).is_err() {
                         continue;
                     }
@@ -296,12 +344,92 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                 }
             }
         }
-        idle = still_idle;
+        std::mem::swap(&mut idle, &mut still_idle);
+    }
+}
 
-        if !progressed {
-            std::thread::sleep(TICK);
+/// What the readiness pass does with one idle connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Readiness {
+    /// A request (or its front) is waiting: queue it.
+    Readable,
+    /// Nothing to read yet: keep it idle.
+    Quiet,
+    /// The peer closed or the socket failed: drop it.
+    Closed,
+}
+
+/// Classifies an idle (non-blocking) connection. `quiet` is set when
+/// `poll` watched the socket and reported nothing, which needs no
+/// syscall; otherwise a one-byte `peek` tells readable from closed.
+fn readiness(conn: &Conn, quiet: bool) -> Readiness {
+    if conn.has_buffered() {
+        return Readiness::Readable;
+    }
+    if quiet {
+        return Readiness::Quiet;
+    }
+    let mut peek = [0u8; 1];
+    match conn.stream.peek(&mut peek) {
+        Ok(0) => Readiness::Closed, // peer closed while idle
+        Ok(_) => Readiness::Readable,
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Readiness::Quiet,
+        Err(_) => Readiness::Closed,
+    }
+}
+
+/// `struct pollfd` from `<poll.h>`, the same layout on every Unix.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `POLLIN`: data to read (or, with `POLLHUP`/`POLLERR` in `revents`, an
+/// end of stream or an error a read would report).
+const POLLIN: c_short = 0x1;
+
+/// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs and
+/// macOS.
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+impl PollFd {
+    /// Watches `fd` for readability.
+    fn readable(fd: RawFd) -> PollFd {
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
         }
     }
+
+    /// Whether the last wait reported anything for this descriptor.
+    fn is_ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
+/// Blocks in `poll(2)` until a descriptor in `fds` is ready or `timeout`
+/// passes, and returns how many are ready (`0` on timeout). Each entry's
+/// `revents` is rewritten. An interrupting signal is an `Interrupted`
+/// error.
+#[allow(unsafe_code)]
+fn wait_ready(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // `pollfd`s and `nfds` is its length, so the kernel reads and writes
+    // only within it, and `poll` keeps no pointer after it returns. Any
+    // `fd` value is sound: one that is not open comes back as `POLLNVAL`.
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, millis) };
+    usize::try_from(ready).map_err(|_| io::Error::last_os_error())
 }
 
 /// Answers `429 Too Many Requests` and closes: the queue is full, so the
@@ -369,18 +497,14 @@ fn serve_conn(shared: &Shared, worker: &ServiceWorker, mut conn: Conn) {
                 if conn.has_buffered() {
                     continue; // pipelined follower already here
                 }
-                if let Ok(mut returned) = shared.idle_return.lock() {
-                    returned.push(conn);
-                }
+                hand_back(shared, conn);
                 return;
             }
             ReadOutcome::Idle => {
                 // Readable when queued, nothing now (e.g. a spurious
                 // wake): back to the idle set rather than camping here.
                 if !shared.shutdown.load(Ordering::Relaxed) {
-                    if let Ok(mut returned) = shared.idle_return.lock() {
-                        returned.push(conn);
-                    }
+                    hand_back(shared, conn);
                 }
                 return;
             }
@@ -403,6 +527,18 @@ fn serve_conn(shared: &Shared, worker: &ServiceWorker, mut conn: Conn) {
             }
         }
     }
+}
+
+/// Returns a keep-alive connection to the accept thread and wakes it. The
+/// push comes first: the accept thread drains the wake socket before
+/// `idle_return`, so it cannot take this byte and miss the connection. A
+/// full wake socket (`WouldBlock`) already holds a pending byte, which
+/// wakes it just the same.
+fn hand_back(shared: &Shared, conn: Conn) {
+    if let Ok(mut returned) = shared.idle_return.lock() {
+        returned.push(conn);
+    }
+    let _ = (&shared.wake).write(&[1]);
 }
 
 /// Closes a connection FIN-first after its final response: shutting the
@@ -662,5 +798,39 @@ mod tests {
         }
         let back: HealthReport = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, report);
+    }
+
+    /// `wait_ready` reports nothing on a quiet socket, the read end once a
+    /// byte is written, and a dropped peer as ready, which the readiness
+    /// pass then classifies as closed.
+    #[test]
+    fn poll_reports_readable_and_closed_peers() {
+        let wait = |fds: &mut [PollFd], timeout| wait_ready(fds, timeout).expect("poll");
+        let long = Duration::from_secs(5);
+
+        let (mut tx, rx) = UnixStream::pair().expect("socket pair");
+        let mut fds = [PollFd::readable(rx.as_raw_fd())];
+        assert_eq!(wait(&mut fds, Duration::ZERO), 0);
+        assert!(!fds[0].is_ready());
+        tx.write_all(&[1]).expect("write");
+        assert_eq!(wait(&mut fds, long), 1);
+        assert!(fds[0].is_ready());
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        server.set_nonblocking(true).expect("non-blocking");
+        let conn = Conn::new(server);
+        let mut fds = [PollFd::readable(conn.stream.as_raw_fd())];
+        assert_eq!(wait(&mut fds, Duration::ZERO), 0);
+        assert_eq!(readiness(&conn, false), Readiness::Quiet);
+        (&client).write_all(b"G").expect("write");
+        assert_eq!(wait(&mut fds, long), 1);
+        assert_eq!(readiness(&conn, false), Readiness::Readable);
+        let mut byte = [0u8; 1];
+        (&conn.stream).read_exact(&mut byte).expect("read the byte");
+        drop(client);
+        assert_eq!(wait(&mut fds, long), 1);
+        assert_eq!(readiness(&conn, false), Readiness::Closed);
     }
 }

@@ -249,6 +249,64 @@ fn keep_alive_connection_serves_sequential_requests() {
     assert!(summary.requests >= 3);
 }
 
+/// Each keep-alive request waits on the worker handing its connection
+/// back. The accept thread's `poll` wait is bounded (100 ms) only to see
+/// the shutdown flag, so a lost wake-up costs a whole wait: 50 requests
+/// would take ~5 s. The bound of 2 s fails on that, not on a slow box.
+#[test]
+fn keep_alive_requests_do_not_wait_out_the_poll_timeout() {
+    let (addr, shutdown, handle) = start(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let req = format!(
+        "POST /extract HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{NOTE}",
+        NOTE.len()
+    );
+    let mut buf = Vec::new();
+    let started = Instant::now();
+    for i in 0..50 {
+        stream.write_all(req.as_bytes()).expect("write");
+        let (status, body) = read_response(&mut stream, &mut buf);
+        assert_eq!(status, 200, "request {i}: {body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "50 keep-alive requests took {elapsed:?}: a hand-back did not wake the accept thread"
+    );
+    drop(stream);
+
+    let summary = stop(&shutdown, handle);
+    assert!(summary.requests >= 50, "{summary:?}");
+}
+
+/// An idle server sees the shutdown flag without any signal or traffic
+/// to end its `poll` wait.
+#[test]
+fn idle_server_stops_soon_after_the_flag_rises() {
+    let (addr, shutdown, handle) = start(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    let (status, _) = oneshot(&addr, &get(&addr, "/health"));
+    assert_eq!(status, 200);
+    std::thread::sleep(Duration::from_millis(300));
+
+    let started = Instant::now();
+    stop(&shutdown, handle);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "idle server took {elapsed:?} to stop"
+    );
+}
+
 /// Sends one `POST /extract` on a fresh connection without reading the
 /// answer.
 fn send_probe(addr: &str) -> TcpStream {
