@@ -8,10 +8,12 @@
 
 use crate::degradation::ParseFailureCounts;
 use crate::numeric::{AssociationMethod, MethodUsed, NumericExtractor, NumericHit};
+use crate::salvage::SalvageText;
 use crate::schema::Schema;
-use crate::terms::MedicalTermExtractor;
+use crate::spec::section_named;
+use crate::terms::{MedicalTermExtractor, TermHit};
 use cmr_ontology::{Ontology, ValueSet};
-use cmr_text::{NumberValue, Record};
+use cmr_text::{NumberValue, Record, Section};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -186,6 +188,7 @@ impl Pipeline {
 
         // Medical-term attributes. Term extraction has no step notion, but
         // the deadline still applies between term fields.
+        let mut whole_record_terms: Option<Vec<TermHit>> = None;
         for term_field in &self.schema.terms {
             budget.check_deadline(0)?;
             let (predefined_set, slots) = match term_field.name.as_str() {
@@ -206,10 +209,8 @@ impl Pipeline {
                     continue;
                 };
                 any_section_present = true;
-                let partitioned = self
-                    .terms
-                    .extract_partitioned(&section.body, predefined_set);
-                extracted |= push_new_terms(partitioned, slots.0, slots.1);
+                let hits = self.terms.extract(&section.body);
+                extracted |= push_new_terms(&hits, predefined_set, slots.0, slots.1);
             }
             let method = if any_section_present {
                 MethodUsed::Pattern
@@ -219,9 +220,11 @@ impl Pipeline {
                 // neighbouring sections), so scan the whole record. This
                 // recovers terms at the cost of precision — terms from
                 // *other* history sections (e.g. family history) leak in.
-                let whole: String = join_bodies(record, None);
-                let partitioned = self.terms.extract_partitioned(&whole, predefined_set);
-                extracted = push_new_terms(partitioned, slots.0, slots.1);
+                // The scan is the same for every term field, so it runs
+                // at most once per record.
+                let hits = whole_record_terms
+                    .get_or_insert_with(|| self.terms.extract(&join_bodies(&record.sections)));
+                extracted = push_new_terms(hits, predefined_set, slots.0, slots.1);
                 MethodUsed::Salvage
             } else {
                 continue;
@@ -235,20 +238,35 @@ impl Pipeline {
         // missed. Scan the sections the spec routes to when any survived;
         // when the spec's sections are all gone (garbled headers), scan the
         // whole record — under header garbling the text still exists, just
-        // inside a neighbouring section's body.
+        // inside a neighbouring section's body. Missed fields often share
+        // a text, so each distinct set of sections is joined and prepared
+        // once per record.
         if self.salvage {
+            let mut keys: Option<Vec<String>> = None;
+            let mut texts: Vec<(Vec<usize>, SalvageText)> = Vec::new();
             for spec in &self.schema.numeric {
                 if out.numeric.contains_key(&spec.name) {
                     continue;
                 }
                 budget.check_deadline(0)?;
-                let routed = join_bodies(record, Some(&spec.sections));
-                let text = if routed.is_empty() {
-                    join_bodies(record, None)
-                } else {
-                    routed
+                let keys =
+                    keys.get_or_insert_with(|| record.sections.iter().map(Section::key).collect());
+                let mut scanned: Vec<usize> = (0..keys.len())
+                    .filter(|&i| spec.sections.iter().any(|x| section_named(x, &keys[i])))
+                    .collect();
+                // The routed bodies join to nothing: scan the whole record.
+                if scanned.iter().all(|&i| record.sections[i].body.is_empty()) {
+                    scanned = (0..keys.len()).collect();
+                }
+                let at = match texts.iter().position(|(s, _)| *s == scanned) {
+                    Some(at) => at,
+                    None => {
+                        let text = join_bodies(scanned.iter().map(|&i| &record.sections[i]));
+                        texts.push((scanned, SalvageText::new(&text)));
+                        texts.len() - 1
+                    }
                 };
-                if let Some(value) = crate::salvage::salvage_numeric(&text, spec) {
+                if let Some(value) = texts[at].1.salvage(spec) {
                     out.numeric.insert(spec.name.clone(), value);
                     out.methods.insert(spec.name.clone(), MethodUsed::Salvage);
                 }
@@ -258,46 +276,40 @@ impl Pipeline {
     }
 }
 
-/// Appends the preferred names of `(predefined, other)` term hits to the
-/// matching slot, skipping names already there. True when any was added.
+/// Appends the preferred name of each term hit to the predefined or the
+/// other slot, as `predefined` holds its concept or not, skipping names
+/// already there. True when any was added.
 fn push_new_terms(
-    (predefined, other): (Vec<crate::TermHit>, Vec<crate::TermHit>),
+    hits: &[TermHit],
+    predefined: &ValueSet,
     predefined_slot: &mut Vec<String>,
     other_slot: &mut Vec<String>,
 ) -> bool {
     let mut added = false;
-    for (hits, slot) in [(predefined, predefined_slot), (other, other_slot)] {
-        for hit in hits {
-            let name = hit.concept.preferred.to_string();
-            if !slot.contains(&name) {
-                slot.push(name);
-                added = true;
-            }
+    for hit in hits {
+        let slot = if predefined.contains(hit.concept) {
+            &mut *predefined_slot
+        } else {
+            &mut *other_slot
+        };
+        let name = hit.concept.preferred;
+        if !slot.iter().any(|s| s == name) {
+            slot.push(name.to_string());
+            added = true;
         }
     }
     added
 }
 
-/// Joins section bodies, newline-separated: all of them, or only those
-/// whose header matches one of `sections` (case-insensitive, the numeric
-/// extractor's routing rule). An empty `sections` filter matches nothing —
-/// callers treat that as "scan everything" via the `None` branch.
-fn join_bodies(record: &Record, sections: Option<&[String]>) -> String {
+/// Joins section bodies, newline-separated, skipping the separator before
+/// a body while the joined text is still empty.
+fn join_bodies<'a>(sections: impl IntoIterator<Item = &'a Section>) -> String {
     let mut out = String::new();
-    for section in &record.sections {
-        let keep = match sections {
-            None => true,
-            Some(filter) => {
-                let key = section.key();
-                filter.iter().any(|x| crate::spec::section_named(x, &key))
-            }
-        };
-        if keep {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&section.body);
+    for section in sections {
+        if !out.is_empty() {
+            out.push('\n');
         }
+        out.push_str(&section.body);
     }
     out
 }

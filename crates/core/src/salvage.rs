@@ -22,25 +22,61 @@ const NUMBER_WINDOW: usize = 48;
 /// `{N}-year-old` salvage (covers `-year`, ` years`, `- year`).
 const YEAR_GAP: usize = 6;
 
-/// Attempts to salvage a value for `spec` from raw text. Returns the first
-/// keyword-adjacent number the spec accepts, or `None`.
-pub(crate) fn salvage_numeric(text: &str, spec: &FeatureSpec) -> Option<NumberValue> {
-    let raw: Vec<char> = text.chars().collect();
-    if spec.year_old_pattern {
-        // Ages are dictated as "{N}-year-old", not "age N"; scanning for the
-        // keyword "age" here would happily steal "Menarche at age 10", so
-        // the year-old shape is the only salvage this spec gets.
-        return salvage_year_old(&raw, spec);
+/// One text prepared for salvage scans: its characters (the windows above
+/// count characters, not bytes) and the places a keyword can start. A
+/// record's missed fields often scan the same text, so the pipeline
+/// prepares each distinct text once per record.
+pub(crate) struct SalvageText {
+    raw: Vec<char>,
+    /// Raw indices at the start or after a non-alphanumeric character,
+    /// ascending: the word starts of the folded text (see
+    /// [`SalvageText::occurrences`]).
+    word_starts: Vec<usize>,
+}
+
+impl SalvageText {
+    pub(crate) fn new(text: &str) -> SalvageText {
+        let raw: Vec<char> = text.chars().collect();
+        let word_starts = (0..raw.len())
+            .filter(|&i| i == 0 || !raw[i - 1].is_ascii_alphanumeric())
+            .collect();
+        SalvageText { raw, word_starts }
     }
-    let folded = fold(&raw);
-    for needle in spec.salvage_needles() {
-        for end in find_occurrences(&folded, needle) {
-            if let Some(value) = scan_number(&raw, end, spec) {
-                return Some(value);
-            }
+
+    /// Attempts to salvage a value for `spec`. Returns the first
+    /// keyword-adjacent number the spec accepts, or `None`.
+    pub(crate) fn salvage(&self, spec: &FeatureSpec) -> Option<NumberValue> {
+        if spec.year_old_pattern {
+            // Ages are dictated as "{N}-year-old", not "age N"; scanning for
+            // the keyword "age" here would happily steal "Menarche at age
+            // 10", so the year-old shape is the only salvage this spec gets.
+            return salvage_year_old(&self.raw, spec);
         }
+        spec.salvage_needles()
+            .iter()
+            .flat_map(|needle| self.occurrences(needle))
+            .find_map(|end| scan_number(&self.raw, end, spec))
     }
-    None
+
+    /// Raw indices just past each word-bounded occurrence of `needle` in
+    /// the folded text, left to right. The text is folded only where a
+    /// match can start: a folded character is non-alphanumeric exactly
+    /// when it folds one non-alphanumeric raw character, so the folded
+    /// word starts sit at the raw `word_starts`, folding from any of them
+    /// continues the whole text's folding, and the character after a match
+    /// folds to an alphanumeric exactly when the raw one is alphanumeric.
+    fn occurrences<'a>(&'a self, needle: &'a [char]) -> impl Iterator<Item = usize> + 'a {
+        self.word_starts.iter().filter_map(move |&start| {
+            let mut folded = fold(&self.raw[start..]);
+            let mut end = start;
+            for &want in needle {
+                let f = folded.next().filter(|f| f.ch == want)?;
+                end = start + f.raw_end;
+            }
+            let right_ok = self.raw.get(end).is_none_or(|c| !c.is_ascii_alphanumeric());
+            right_ok.then_some(end)
+        })
+    }
 }
 
 /// One folded character and the raw index *after* its source characters
@@ -56,19 +92,18 @@ struct Folded {
 /// fused to `m`, everything else non-alphanumeric to a space. Applied to
 /// both the text and the keyword phrases, so clean and noisy renderings of
 /// a keyword fold to the same string.
-fn fold(raw: &[char]) -> Vec<Folded> {
-    let mut out = Vec::with_capacity(raw.len());
+fn fold(raw: &[char]) -> impl Iterator<Item = Folded> + '_ {
     let mut i = 0;
-    while i < raw.len() {
-        if (raw[i] == 'r' || raw[i] == 'R') && matches!(raw.get(i + 1), Some('n') | Some('N')) {
-            out.push(Folded {
-                ch: 'm',
-                raw_end: i + 2,
-            });
+    std::iter::from_fn(move || {
+        let c = *raw.get(i)?;
+        if (c == 'r' || c == 'R') && matches!(raw.get(i + 1), Some('n') | Some('N')) {
             i += 2;
-            continue;
+            return Some(Folded {
+                ch: 'm',
+                raw_end: i,
+            });
         }
-        let ch = match raw[i] {
+        let ch = match c {
             '1' => 'l',
             '0' => 'o',
             '5' => 's',
@@ -76,16 +111,15 @@ fn fold(raw: &[char]) -> Vec<Folded> {
             c if c.is_ascii_alphanumeric() => c.to_ascii_lowercase(),
             _ => ' ',
         };
-        out.push(Folded { ch, raw_end: i + 1 });
         i += 1;
-    }
-    out
+        Some(Folded { ch, raw_end: i })
+    })
 }
 
 /// Folds a clean phrase with the same rules (index information discarded).
 pub(crate) fn fold_str(phrase: &str) -> Vec<char> {
     let raw: Vec<char> = phrase.chars().collect();
-    fold(&raw).iter().map(|f| f.ch).collect()
+    fold(&raw).map(|f| f.ch).collect()
 }
 
 /// The OCR-confusion folding applied to keyword phrases, exposed for
@@ -93,31 +127,6 @@ pub(crate) fn fold_str(phrase: &str) -> Vec<char> {
 /// the tier-3 salvage scan.
 pub fn salvage_fold(phrase: &str) -> String {
     fold_str(phrase).into_iter().collect()
-}
-
-/// Raw indices just past each word-bounded occurrence of `needle` in the
-/// folded text, left to right.
-fn find_occurrences(folded: &[Folded], needle: &[char]) -> Vec<usize> {
-    let mut out = Vec::new();
-    if needle.len() > folded.len() {
-        return out;
-    }
-    for start in 0..=folded.len() - needle.len() {
-        let matches = folded[start..start + needle.len()]
-            .iter()
-            .zip(needle)
-            .all(|(f, n)| f.ch == *n);
-        if !matches {
-            continue;
-        }
-        let left_ok = start == 0 || !folded[start - 1].ch.is_ascii_alphanumeric();
-        let right = start + needle.len();
-        let right_ok = right == folded.len() || !folded[right].ch.is_ascii_alphanumeric();
-        if left_ok && right_ok {
-            out.push(folded[right - 1].raw_end);
-        }
-    }
-    out
 }
 
 /// Scans raw characters after a keyword match for the first number the
@@ -130,38 +139,29 @@ fn scan_number(raw: &[char], from: usize, spec: &FeatureSpec) -> Option<NumberVa
         .map(|p| from + p)
         .unwrap_or(raw.len())
         .min(from + NUMBER_WINDOW);
-    for (_, run) in runs(raw, from, stop) {
-        if let Some(value) = parse_run(&run) {
-            if spec.accepts(&value) {
-                return Some(value);
-            }
-        }
-    }
-    None
+    runs(raw, from, stop)
+        .filter_map(|(_, run)| parse_run(run))
+        .find(|value| spec.accepts(value))
 }
 
 /// The `{N}-year-old` shape under OCR folding: a digit run followed within
 /// [`YEAR_GAP`] characters by a word folding to `year…`.
 fn salvage_year_old(raw: &[char], spec: &FeatureSpec) -> Option<NumberValue> {
-    let all = runs(raw, 0, raw.len());
-    for (idx, (start, run)) in all.iter().enumerate() {
+    let mut all = runs(raw, 0, raw.len()).peekable();
+    while let Some((start, run)) = all.next() {
         let Some(value) = parse_run(run) else {
             continue;
         };
         if !matches!(value, NumberValue::Int(_)) || !spec.accepts(&value) {
             continue;
         }
-        let end = start + run.len();
-        let Some((next_start, next_run)) = all.get(idx + 1) else {
+        let Some(&(next_start, next_run)) = all.peek() else {
             continue;
         };
-        if *next_start > end + YEAR_GAP {
+        if next_start > start + run.len() + YEAR_GAP {
             continue;
         }
-        let folded: String = fold_str(&next_run.iter().collect::<String>())
-            .into_iter()
-            .collect();
-        if folded.starts_with("year") {
+        if fold(next_run).map(|f| f.ch).take(4).eq("year".chars()) {
             return Some(value);
         }
     }
@@ -169,22 +169,19 @@ fn salvage_year_old(raw: &[char], spec: &FeatureSpec) -> Option<NumberValue> {
 }
 
 /// Maximal runs of number-ish characters (`[0-9A-Za-z./]`) in
-/// `raw[from..stop]`, each with its start index.
-fn runs(raw: &[char], from: usize, stop: usize) -> Vec<(usize, Vec<char>)> {
-    let mut out: Vec<(usize, Vec<char>)> = Vec::new();
+/// `raw[from..stop]`, each with its start index, left to right.
+fn runs(raw: &[char], from: usize, stop: usize) -> impl Iterator<Item = (usize, &[char])> {
     let mut i = from;
-    while i < stop {
-        if is_run_char(raw[i]) {
-            let start = i;
-            while i < stop && is_run_char(raw[i]) {
-                i += 1;
-            }
-            out.push((start, raw[start..i].to_vec()));
-        } else {
+    std::iter::from_fn(move || {
+        while i < stop && !is_run_char(raw[i]) {
             i += 1;
         }
-    }
-    out
+        let start = i;
+        while i < stop && is_run_char(raw[i]) {
+            i += 1;
+        }
+        (i > start).then(|| (start, &raw[start..i]))
+    })
 }
 
 fn is_run_char(c: char) -> bool {
@@ -233,6 +230,10 @@ fn parse_run(run: &[char]) -> Option<NumberValue> {
 mod tests {
     use super::*;
     use crate::spec::ValueKind;
+
+    fn salvage_numeric(text: &str, spec: &FeatureSpec) -> Option<NumberValue> {
+        SalvageText::new(text).salvage(spec)
+    }
 
     fn bp() -> FeatureSpec {
         FeatureSpec::new(
@@ -316,29 +317,117 @@ mod tests {
     #[test]
     fn year_old_shape_only_for_age() {
         assert_eq!(
-            salvage_year_old(&"a 5O-year-old woman".chars().collect::<Vec<_>>(), &age()),
+            salvage_numeric("a 5O-year-old woman", &age()),
             Some(NumberValue::Int(50))
         );
         // "age 10" in GYN history must NOT be salvaged as the patient age.
         assert_eq!(salvage_numeric("Menarche at age 10.", &age()), None);
     }
 
-    /// The scan before specs compiled their needles: each call re-expands
-    /// and re-folds the phrases.
+    #[test]
+    fn number_window_counts_characters_not_bytes() {
+        // 40 two-byte characters: "84" starts 42 characters but 82 bytes
+        // after "pulse", inside the 48-character window.
+        let pad = "é".repeat(40);
+        assert_eq!(
+            salvage_numeric(&format!("pulse {pad} 84"), &pulse()),
+            Some(NumberValue::Int(84))
+        );
+        // Seven more characters put it past the window.
+        let pad = "é".repeat(47);
+        assert_eq!(salvage_numeric(&format!("pulse {pad} 84"), &pulse()), None);
+        // A run straddling the window's end is cut at the 48th character.
+        let pad = "é".repeat(44);
+        assert_eq!(
+            salvage_numeric(&format!("pulse {pad} 845"), &pulse()),
+            Some(NumberValue::Int(84))
+        );
+    }
+
+    #[test]
+    fn year_gap_counts_characters_not_bytes() {
+        // Six characters (ten bytes) between "50" and "year".
+        assert_eq!(
+            salvage_numeric("a 50-éééé-year-old woman", &age()),
+            Some(NumberValue::Int(50))
+        );
+        assert_eq!(
+            salvage_numeric("a 50 \u{2014}\u{2014} years old", &age()),
+            Some(NumberValue::Int(50))
+        );
+        // Seven characters are past the gap.
+        assert_eq!(salvage_numeric("a 50-ééééé-year-old woman", &age()), None);
+    }
+
+    /// The scan before texts were prepared once: each call collects the
+    /// characters, folds the whole text, compares every needle at every
+    /// position, and collects every character run.
     fn salvage_per_call(text: &str, spec: &FeatureSpec) -> Option<NumberValue> {
         let raw: Vec<char> = text.chars().collect();
+        let runs_of = |from: usize, stop: usize| -> Vec<(usize, Vec<char>)> {
+            let mut out = Vec::new();
+            let mut i = from;
+            while i < stop {
+                if is_run_char(raw[i]) {
+                    let start = i;
+                    while i < stop && is_run_char(raw[i]) {
+                        i += 1;
+                    }
+                    out.push((start, raw[start..i].to_vec()));
+                } else {
+                    i += 1;
+                }
+            }
+            out
+        };
         if spec.year_old_pattern {
-            return salvage_year_old(&raw, spec);
+            let all = runs_of(0, raw.len());
+            for (idx, (start, run)) in all.iter().enumerate() {
+                let Some(value) = parse_run(run) else {
+                    continue;
+                };
+                if !matches!(value, NumberValue::Int(_)) || !spec.accepts(&value) {
+                    continue;
+                }
+                let Some((next_start, next_run)) = all.get(idx + 1) else {
+                    continue;
+                };
+                let word: String = fold_str(&next_run.iter().collect::<String>())
+                    .into_iter()
+                    .collect();
+                if *next_start <= start + run.len() + YEAR_GAP && word.starts_with("year") {
+                    return Some(value);
+                }
+            }
+            return None;
         }
-        let folded = fold(&raw);
+        let folded: Vec<Folded> = fold(&raw).collect();
         for phrase in spec.matching_phrases() {
             let needle = fold_str(&phrase);
-            if needle.is_empty() {
+            if needle.is_empty() || needle.len() > folded.len() {
                 continue;
             }
-            for end in find_occurrences(&folded, &needle) {
-                if let Some(value) = scan_number(&raw, end, spec) {
-                    return Some(value);
+            for start in 0..=folded.len() - needle.len() {
+                let right = start + needle.len();
+                let hit = folded[start..right]
+                    .iter()
+                    .zip(&needle)
+                    .all(|(f, n)| f.ch == *n)
+                    && (start == 0 || !folded[start - 1].ch.is_ascii_alphanumeric())
+                    && (right == folded.len() || !folded[right].ch.is_ascii_alphanumeric());
+                if !hit {
+                    continue;
+                }
+                let from = folded[right - 1].raw_end;
+                let stop = raw[from..]
+                    .iter()
+                    .position(|&c| c == '\n')
+                    .map_or(raw.len(), |p| from + p)
+                    .min(from + NUMBER_WINDOW);
+                for (_, run) in runs_of(from, stop) {
+                    if let Some(value) = parse_run(&run).filter(|v| spec.accepts(v)) {
+                        return Some(value);
+                    }
                 }
             }
         }
@@ -349,8 +438,9 @@ mod tests {
     fn compiled_needles_salvage_like_per_call_folding() {
         let schema = crate::Schema::paper();
         let noise = cmr_corpus::NoiseInjector::from_level(0.3, 3);
-        // Every phrase of every spec next to a value of each kind, and the
-        // lines of corrupted notes.
+        // Every phrase of every spec next to a value of each kind, the
+        // lines of corrupted notes, and their whole multi-section texts
+        // (raw, and as the pipeline joins their section bodies).
         let mut texts: Vec<String> = Vec::new();
         for spec in &schema.numeric {
             for phrase in spec.matching_phrases() {
@@ -367,12 +457,19 @@ mod tests {
             .style_variation(1.0)
             .build();
         for rec in &corpus.records {
-            texts.extend(noise.corrupt(&rec.text).lines().map(str::to_string));
+            let noisy = noise.corrupt(&rec.text);
+            texts.extend(noisy.lines().map(str::to_string));
+            let sections = cmr_text::Record::parse(&noisy).sections;
+            let bodies: Vec<&str> = sections.iter().map(|s| s.body.as_str()).collect();
+            texts.push(bodies.join("\n"));
+            texts.push(noisy);
         }
+        // One prepared text serves every spec in turn, as in the pipeline.
         for text in &texts {
+            let prepared = SalvageText::new(text);
             for spec in &schema.numeric {
                 assert_eq!(
-                    salvage_numeric(text, spec),
+                    prepared.salvage(spec),
                     salvage_per_call(text, spec),
                     "{} in {text:?}",
                     spec.name

@@ -5,10 +5,22 @@
 //! (lemmatize + alphabetize) and look it up in the ontology. On a hit,
 //! save the term and continue after its endpoint; otherwise try the next
 //! pattern from the same starting point.
+//!
+//! A text of n words has up to ~n × patterns candidate windows, and
+//! adjacent windows share words. Normalizing each window's surface from
+//! scratch would lemmatize one word up to three times per scan, so the
+//! extractor lemmatizes each distinct word once
+//! ([`cmr_ontology::normalized_words`], memoized by the word's interned
+//! lower-case form) and builds a window's key by sorting and joining its
+//! words' pieces. The key equals `normalize(surface)`: a word token is
+//! ASCII `[A-Za-z0-9'-]` and only ASCII whitespace separates adjacent
+//! tokens, so the surface splits into exactly its tokens' pieces.
 
-use cmr_ontology::{normalize, Concept, Ontology, ValueSet};
+use cmr_ontology::{normalized_words, Concept, Ontology, ValueSet};
 use cmr_postag::{PosTagger, Tag, TaggedToken};
-use cmr_text::{tokenize, Span};
+use cmr_text::{tokenize, Span, Sym};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Which ordered pattern inventory the scanner uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,11 +88,18 @@ pub struct TermHit {
 ///
 /// The ontology is behind an [`Arc`](std::sync::Arc): extractors on
 /// different worker threads share one concept table instead of cloning it.
+/// Like its tagger, an extractor memoizes per word (`RefCell`, so it is
+/// `!Sync` and each worker owns one); the memo only grows and holds one
+/// entry per distinct slot-filling word, so it is bounded by the interned
+/// vocabulary, not the corpus.
 pub struct MedicalTermExtractor {
     ontology: std::sync::Arc<Ontology>,
     tagger: PosTagger,
     patterns: PatternSet,
     negation_filter: bool,
+    /// [`normalized_words`] of each word that can fill a pattern slot, by
+    /// its interned lower-case form.
+    words: RefCell<HashMap<Sym, Box<[String]>>>,
 }
 
 impl MedicalTermExtractor {
@@ -92,6 +111,7 @@ impl MedicalTermExtractor {
             tagger: PosTagger::new(),
             patterns: PatternSet::Paper,
             negation_filter: false,
+            words: RefCell::default(),
         }
     }
 
@@ -130,8 +150,7 @@ impl MedicalTermExtractor {
     /// Extracts all medical terms from `text` (typically a section body).
     /// Duplicate concepts are reported once (first occurrence).
     pub fn extract(&self, text: &str) -> Vec<TermHit> {
-        let tokens = tokenize(text);
-        let tagged = self.tagger.tag(&tokens);
+        let tagged = self.tagger.tag_owned(tokenize(text));
         let negated: Vec<Span> = if self.negation_filter {
             crate::negation::NegationDetector::new()
                 .negated_ranges(&tagged)
@@ -141,10 +160,25 @@ impl MedicalTermExtractor {
         } else {
             Vec::new()
         };
+        let mut words = self.words.borrow_mut();
+        for t in &tagged {
+            if t.token.kind.is_word()
+                && (slot_matches(Slot::Adj, t.tag) || slot_matches(Slot::Noun, t.tag))
+            {
+                words
+                    .entry(t.lower)
+                    .or_insert_with(|| normalized_words(t.lower.as_str()).into());
+            }
+        }
+        let mut keys = WindowKeys {
+            words: &words,
+            pieces: Vec::new(),
+            key: String::new(),
+        };
         let mut hits: Vec<TermHit> = Vec::new();
         let mut i = 0;
         while i < tagged.len() {
-            match self.match_at(&tagged, i, text) {
+            match self.match_at(&tagged, i, text, &mut keys) {
                 Some((hit, consumed)) => {
                     let negated_hit = negated.iter().any(|n| n.overlaps(&hit.span));
                     if !negated_hit && !hits.iter().any(|h| h.concept.cui == hit.concept.cui) {
@@ -160,7 +194,13 @@ impl MedicalTermExtractor {
 
     /// Tries the ordered patterns at position `i`; returns the hit and the
     /// number of tokens consumed.
-    fn match_at(&self, tagged: &[TaggedToken], i: usize, text: &str) -> Option<(TermHit, usize)> {
+    fn match_at(
+        &self,
+        tagged: &[TaggedToken],
+        i: usize,
+        text: &str,
+        keys: &mut WindowKeys<'_>,
+    ) -> Option<(TermHit, usize)> {
         for pattern in self.pattern_table() {
             let len = pattern.len();
             if i + len > tagged.len() {
@@ -174,15 +214,13 @@ impl MedicalTermExtractor {
             {
                 continue;
             }
-            let surface_span = window[0].token.span.cover(&window[len - 1].token.span);
-            let surface = surface_span.slice(text).to_string();
-            let norm = normalize(&surface);
-            if let Some(concept) = self.ontology.lookup_normalized(&norm) {
+            if let Some(concept) = self.ontology.lookup_normalized(keys.key(window)) {
+                let span = window[0].token.span.cover(&window[len - 1].token.span);
                 return Some((
                     TermHit {
                         concept,
-                        surface,
-                        span: surface_span,
+                        surface: span.slice(text).to_string(),
+                        span,
                     },
                     len,
                 ));
@@ -202,6 +240,36 @@ impl MedicalTermExtractor {
         self.extract(text)
             .into_iter()
             .partition(|h| predefined.contains(h.concept))
+    }
+}
+
+/// Builds candidate windows' normalized keys from memoized per-word
+/// pieces, in buffers reused across the windows of one scan.
+struct WindowKeys<'w> {
+    /// Every slot-filling word's pieces (see [`MedicalTermExtractor`]).
+    words: &'w HashMap<Sym, Box<[String]>>,
+    pieces: Vec<&'w str>,
+    key: String,
+}
+
+impl WindowKeys<'_> {
+    /// `normalize` of the window's surface: its words' pieces, sorted and
+    /// space-joined.
+    fn key(&mut self, window: &[TaggedToken]) -> &str {
+        self.pieces.clear();
+        for t in window {
+            self.pieces
+                .extend(self.words[&t.lower].iter().map(String::as_str));
+        }
+        self.pieces.sort_unstable();
+        self.key.clear();
+        for (i, piece) in self.pieces.iter().enumerate() {
+            if i > 0 {
+                self.key.push(' ');
+            }
+            self.key.push_str(piece);
+        }
+        &self.key
     }
 }
 
@@ -267,6 +335,44 @@ mod tests {
     fn continue_after_endpoint() {
         let hits = extractor().extract("cholecystectomy and appendectomy");
         assert_eq!(preferred(&hits), vec!["cholecystectomy", "appendectomy"]);
+    }
+
+    #[test]
+    fn window_keys_equal_normalized_surfaces() {
+        let ex = extractor();
+        let text = "Her high blood-pressures, C-section scars and Crohn's \
+                    disease ; s/p 2 midline  hernia closures.";
+        let tagged = ex.tagger.tag_owned(tokenize(text));
+        let words: HashMap<Sym, Box<[String]>> = tagged
+            .iter()
+            .filter(|t| t.token.kind.is_word())
+            .map(|t| (t.lower, normalized_words(t.lower.as_str()).into()))
+            .collect();
+        let mut keys = WindowKeys {
+            words: &words,
+            pieces: Vec::new(),
+            key: String::new(),
+        };
+        let mut windows = 0;
+        for start in 0..tagged.len() {
+            for len in 1..=4 {
+                let Some(window) = tagged.get(start..start + len) else {
+                    continue;
+                };
+                if !window.iter().all(|t| t.token.kind.is_word()) {
+                    continue;
+                }
+                let span = window[0].token.span.cover(&window[len - 1].token.span);
+                let surface = span.slice(text);
+                assert_eq!(
+                    keys.key(window),
+                    cmr_ontology::normalize(surface),
+                    "{surface:?}"
+                );
+                windows += 1;
+            }
+        }
+        assert!(windows > 20, "{windows}");
     }
 
     #[test]

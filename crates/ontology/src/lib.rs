@@ -28,5 +28,5 @@ mod ontology;
 
 pub use concept::{Concept, Rarity, SemanticType};
 pub use data::{CONCEPTS, PREDEFINED_MEDICAL_CUIS, PREDEFINED_SURGICAL_CUIS};
-pub use normalize::normalize;
+pub use normalize::{normalize, normalized_words};
 pub use ontology::{Ontology, OntologyProfile, ValueSet};

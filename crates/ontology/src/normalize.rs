@@ -11,15 +11,24 @@ use cmr_lexicon::Lemmatizer;
 /// alphabetically, join with single spaces. Hyphens count as word breaks so
 /// `c-section` and `c section` normalize identically.
 pub fn normalize(term: &str) -> String {
+    let mut words = normalized_words(term);
+    words.sort_unstable();
+    words.join(" ")
+}
+
+/// Step (1) of [`normalize`] alone: the lower-cased, lemmatized words of
+/// `term` in surface order. Splitting happens only at whitespace and
+/// hyphens, so the normalization of a phrase is the sorted, space-joined
+/// concatenation of its whitespace-separated words' `normalized_words`;
+/// a caller normalizing many overlapping word windows can lemmatize each
+/// word once.
+pub fn normalized_words(term: &str) -> Vec<String> {
     let lem = Lemmatizer::new();
-    let mut words: Vec<String> = term
-        .to_lowercase()
+    term.to_lowercase()
         .split(|c: char| c.is_whitespace() || c == '-')
         .filter(|w| !w.is_empty())
         .map(|w| lem.lemma_any(w))
-        .collect();
-    words.sort_unstable();
-    words.join(" ")
+        .collect()
 }
 
 #[cfg(test)]
@@ -56,6 +65,19 @@ mod tests {
         ] {
             let once = normalize(t);
             assert_eq!(normalize(&once), once, "{t}");
+        }
+    }
+
+    #[test]
+    fn phrase_is_the_sorted_join_of_its_words() {
+        for t in [
+            "high blood pressures",
+            "C-section scars",
+            "Midline  hernia closures",
+        ] {
+            let mut words: Vec<String> = t.split_whitespace().flat_map(normalized_words).collect();
+            words.sort_unstable();
+            assert_eq!(words.join(" "), normalize(t), "{t}");
         }
     }
 

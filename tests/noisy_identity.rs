@@ -14,8 +14,8 @@
 //! UPDATE_SNAPSHOT=1 cargo test --test noisy_identity
 //! ```
 
-use cmr::prelude::*;
 use cmr::core::MethodUsed::Salvage;
+use cmr::prelude::*;
 
 const SNAPSHOT_PATH: &str = "tests/snapshots/noisy_extractions.ndjson";
 const NOTES: usize = 160;
@@ -92,8 +92,9 @@ fn snapshot_holds_numeric_and_term_salvage() {
     // A note that lost both history sections scans its whole text for
     // both term fields.
     assert!(
-        records.iter().any(|r| salvaged(r, "past_medical_history")
-            && salvaged(r, "past_surgical_history")),
+        records
+            .iter()
+            .any(|r| salvaged(r, "past_medical_history") && salvaged(r, "past_surgical_history")),
         "no note salvaged both term fields"
     );
 }
