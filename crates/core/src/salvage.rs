@@ -36,10 +36,16 @@ pub(crate) struct SalvageText {
 
 impl SalvageText {
     pub(crate) fn new(text: &str) -> SalvageText {
-        let raw: Vec<char> = text.chars().collect();
-        let word_starts = (0..raw.len())
-            .filter(|&i| i == 0 || !raw[i - 1].is_ascii_alphanumeric())
-            .collect();
+        let mut raw = Vec::with_capacity(text.len());
+        let mut word_starts = Vec::new();
+        let mut bounded = true;
+        for c in text.chars() {
+            if bounded {
+                word_starts.push(raw.len());
+            }
+            bounded = !c.is_ascii_alphanumeric();
+            raw.push(c);
+        }
         SalvageText { raw, word_starts }
     }
 

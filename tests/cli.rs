@@ -907,13 +907,15 @@ fn unreadable_stdin_line_fails_after_the_records_before_it() {
 fn chaos_sigint_flushes_a_partial_report_and_exits_three() {
     let dir = scratch("chaos-sigint");
     let report_path = dir.join("chaos.json");
+    // The sweep must still be running when the signal arrives 800 ms in:
+    // 4,000 records take several seconds, where 400 could finish first.
     let child = cmr()
         .args([
             "chaos",
             "--noise",
             "0..0.5",
             "--records",
-            "400",
+            "4000",
             "--jobs",
             "2",
             "--out",
