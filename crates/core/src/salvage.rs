@@ -23,9 +23,9 @@ const NUMBER_WINDOW: usize = 48;
 const YEAR_GAP: usize = 6;
 
 /// One text prepared for salvage scans: its characters (the windows above
-/// count characters, not bytes) and the places a keyword can start. A
-/// record's missed fields often scan the same text, so the pipeline
-/// prepares each distinct text once per record.
+/// count characters, not bytes) and the places a keyword can start. The
+/// missed fields whose sections are all gone scan the whole record, so
+/// the pipeline prepares that text once per record.
 pub(crate) struct SalvageText {
     raw: Vec<char>,
     /// Raw indices at the start or after a non-alphanumeric character,
