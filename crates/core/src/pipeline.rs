@@ -238,9 +238,9 @@ impl Pipeline {
         // missed. Scan the sections the spec routes to when any survived;
         // when the spec's sections are all gone (garbled headers), scan the
         // whole record — under header garbling the text still exists, just
-        // inside a neighbouring section's body. Nine in ten missed fields
-        // that share a text share the whole record's, so that one is
-        // prepared once per record.
+        // inside a neighbouring section's body. On noisy notes, nine in
+        // ten salvage calls that rescan a text of their record rescan the
+        // whole record's, so that text alone is prepared once per record.
         if self.salvage {
             let mut whole: Option<SalvageText> = None;
             for spec in &self.schema.numeric {
