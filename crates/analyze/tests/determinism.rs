@@ -125,9 +125,4 @@ fn known_deliberate_notes_are_still_seen() {
         "pool recv-under-lock note vanished:\n{}",
         report.render_human(false)
     );
-    assert!(
-        has("CMR-S001", "crates/engine/src/quarantine.rs"),
-        "quarantine append-under-lock note vanished:\n{}",
-        report.render_human(false)
-    );
 }

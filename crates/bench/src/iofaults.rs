@@ -11,7 +11,8 @@
 //!   panic never takes the harness down and never corrupts state beyond
 //!   what resume heals;
 //! * **resume identity** — after the fault clears, resuming the journal
-//!   produces output byte-identical to an unfaulted run;
+//!   produces output (and, under quarantine faults, a quarantine)
+//!   byte-identical to an unfaulted run's;
 //! * **exactly-once** — every submitted record lands exactly once in the
 //!   journal/output (or is part of a cleanly-reported abort), never
 //!   silently lost and never duplicated;
@@ -27,7 +28,7 @@ use cmr_core::Schema;
 use cmr_corpus::CorpusBuilder;
 use cmr_engine::{
     merge_outputs, read_journal, run_journaled, shard_of, Engine, EngineConfig, JournalRun,
-    QuarantineFile, RecordSink, RunManifest,
+    RecordSink, RunManifest,
 };
 use cmr_failpoint::FailpointRegistry;
 use cmr_ontology::Ontology;
@@ -230,15 +231,17 @@ fn with_panicked_record(baseline: &str, faulted: &str) -> String {
         .collect()
 }
 
-/// Output of an unfaulted, unjournaled run: the identity target, written
-/// by the same [`RecordSink`] the journaled runs use and read back.
-fn unfaulted_baseline(texts: &[String], cfg: &EngineConfig, path: &Path) -> String {
+/// Output and quarantine of an unfaulted, unjournaled run: the identity
+/// targets, written by the same [`RecordSink`] the journaled runs use
+/// and read back.
+fn unfaulted_baseline(texts: &[String], cfg: &EngineConfig, path: &Path) -> (String, String) {
+    let quarantine = path.with_extension("quarantine");
     let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full());
-    if let Ok(mut sink) = RecordSink::open(Some(path)) {
-        engine.extract_stream(texts.iter().cloned(), |_idx, result| sink.emit(&result));
+    if let Ok(mut sink) = RecordSink::open(Some(path), Some(&quarantine)) {
+        engine.extract_to(texts.iter().cloned(), &mut sink);
         let _ = sink.flush();
     }
-    read(path)
+    (read(path), read(&quarantine))
 }
 
 /// A file's contents, or nothing when it cannot be read.
@@ -269,13 +272,14 @@ const SHARD_COMPACT_EVERY: usize = 4;
 /// outside the journal); each healed journal accounts for exactly its
 /// slice (`read_journal` rejects gaps and duplicates) and stays within
 /// the compaction interval; and the merged outputs are byte-identical to
-/// the unfaulted baseline.
+/// the unfaulted baseline, as is the healed quarantine of a `quarantine`
+/// schedule, the only kind that writes one.
 fn run_journal_schedule(
     spec: &str,
     schedule: &str,
     texts: &[String],
     cfg: &EngineConfig,
-    baseline: &str,
+    (baseline, quarantine_baseline): &(String, String),
     dir: &Path,
 ) -> ScheduleReport {
     let _ = std::fs::create_dir_all(dir);
@@ -303,15 +307,12 @@ fn run_journal_schedule(
     // One phase of shard `s`; returns why it ended early, if it did.
     let phase = |round: usize, s: usize, resume: bool| {
         let (journal, output) = (file(round, s, "journal"), file(round, s, "out"));
-        let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full());
-        if kind == "quarantine" {
-            if let Ok(q) = QuarantineFile::create(&file(round, s, "quarantine")) {
-                engine = engine.with_quarantine(q);
-            }
-        }
+        let quarantine = (kind == "quarantine").then(|| file(round, s, "quarantine"));
+        let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full());
         let run = JournalRun {
             journal: &journal,
             output: Some(&output),
+            quarantine: quarantine.as_deref(),
             resume,
             compact_every: compact_every as u64,
         };
@@ -366,7 +367,7 @@ fn run_journal_schedule(
         expected = with_panicked_record(baseline, &read(&file(0, 0, "out")));
         expected.as_str()
     } else {
-        baseline
+        baseline.as_str()
     };
 
     let mut outputs = Vec::with_capacity(ways);
@@ -429,6 +430,10 @@ fn run_journal_schedule(
             merged.len(),
             baseline.len()
         ));
+    }
+    if kind == "quarantine" && read(&file(0, 0, "quarantine")) != *quarantine_baseline {
+        violations
+            .push("quarantine after resume diverged from the unfaulted baseline's".to_string());
     }
     ScheduleReport {
         schedule: spec.to_string(),

@@ -1,8 +1,8 @@
 //! The batch-extraction engine.
 
+use crate::journaled::RecordSink;
 use crate::metrics::{EngineMetrics, ParseCacheMetrics};
 use crate::pool::{panic_message, run_ordered, PoolConfig, PoolStats};
-use crate::quarantine::{QuarantineEntry, QuarantineFile};
 use cmr_core::{
     AssociationMethod, BudgetExceeded, BudgetLimit, ExtractBudget, ExtractedRecord, PatternSet,
     Pipeline, Schema,
@@ -131,7 +131,6 @@ pub struct Engine {
     cfg: EngineConfig,
     schema: Arc<Schema>,
     ontology: Arc<Ontology>,
-    quarantine: Option<Arc<QuarantineFile>>,
     pub(crate) shutdown: Option<Arc<AtomicBool>>,
 }
 
@@ -153,17 +152,8 @@ impl Engine {
             cfg,
             schema: schema.into(),
             ontology: ontology.into(),
-            quarantine: None,
             shutdown: None,
         }
-    }
-
-    /// Attaches a poison-quarantine file: every record that fails is
-    /// appended there (exactly once) as well as surfacing as a per-item
-    /// error.
-    pub fn with_quarantine(mut self, quarantine: QuarantineFile) -> Engine {
-        self.quarantine = Some(Arc::new(quarantine));
-        self
     }
 
     /// Installs a graceful-shutdown flag (typically raised from a
@@ -201,14 +191,26 @@ impl Engine {
         I: Iterator<Item = String> + Send,
         S: FnMut(usize, Result<ExtractedRecord, EngineError>),
     {
-        self.extract_counted(EngineMetrics::default(), inputs, |idx, result, _| {
+        self.extract_counted(EngineMetrics::default(), inputs, |idx, result, _, _| {
             sink(idx, result)
         })
     }
 
+    /// Streams records through the worker pool to `sink`'s output lines
+    /// and, for failed records, its quarantine.
+    pub fn extract_to<I>(&self, inputs: I, sink: &mut RecordSink) -> EngineMetrics
+    where
+        I: Iterator<Item = String> + Send,
+    {
+        self.extract_counted(EngineMetrics::default(), inputs, |idx, result, text, _| {
+            sink.emit(idx, &result, text)
+        })
+    }
+
     /// [`Engine::extract_stream`] with its counts starting from `metrics`
-    /// (a resumed journal's prefix). The sink also sees the running
-    /// metrics, which already count the outcome it is handed.
+    /// (a resumed journal's prefix). The sink also sees a failed record's
+    /// text, moved from the feed, and the running metrics, which already
+    /// count the outcome it is handed.
     pub(crate) fn extract_counted<I, S>(
         &self,
         mut metrics: EngineMetrics,
@@ -217,18 +219,19 @@ impl Engine {
     ) -> EngineMetrics
     where
         I: Iterator<Item = String> + Send,
-        S: FnMut(usize, Result<ExtractedRecord, EngineError>, &EngineMetrics),
+        S: FnMut(usize, Result<ExtractedRecord, EngineError>, Option<String>, &EngineMetrics),
     {
         let jobs = self.cfg.resolved_jobs();
         let start = Instant::now();
-        let quarantined_before = self.quarantine.as_ref().map_or(0, |q| q.written());
         let pool_stats = self.run_pool(jobs, inputs, |idx, outcome| {
+            let (outcome, text) = match outcome {
+                Ok(ok) => (Ok(ok), None),
+                Err((error, text)) => (Err(error), Some(text)),
+            };
             let result = tally(&mut metrics, outcome);
-            sink(idx, result, &metrics);
+            sink(idx, result, text, &metrics);
         });
         metrics.jobs = jobs;
-        metrics.quarantined +=
-            self.quarantine.as_ref().map_or(0, |q| q.written()) - quarantined_before;
         metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
         metrics.reorder_buffer_high_water = pool_stats.reorder_high_water;
         metrics.set_wall(start.elapsed().as_nanos() as u64);
@@ -236,12 +239,13 @@ impl Engine {
     }
 
     /// Runs `inputs` through `jobs` guarded workers, handing each outcome
-    /// to `emit` in input order.
+    /// to `emit` in input order. A failed record's text rides with its
+    /// error.
     fn run_pool<I>(
         &self,
         jobs: usize,
         inputs: I,
-        emit: impl FnMut(usize, WorkerOutcome),
+        emit: impl FnMut(usize, Result<(ExtractedRecord, ParseCacheMetrics), (EngineError, String)>),
     ) -> PoolStats
     where
         I: Iterator<Item = String> + Send,
@@ -259,7 +263,6 @@ impl Engine {
         let salvage = self.cfg.salvage;
         let max_record_millis = self.cfg.max_record_millis;
         let max_record_sentences = self.cfg.max_record_sentences;
-        let quarantine = self.quarantine.clone();
         run_ordered(
             inputs,
             PoolConfig {
@@ -275,35 +278,33 @@ impl Engine {
                     .with_term_patterns(term_patterns)
                     .with_salvage(salvage)
                     .with_shared_parse_cache(parse_cache.clone());
-                let quarantine = quarantine.clone();
-                move |idx: usize, text: String| {
+                move |_idx: usize, text: String| {
                     let ctx = WorkerCtx {
                         pipeline: &pipeline,
                         max_record_millis,
                         max_record_sentences,
-                        quarantine: quarantine.as_deref(),
                     };
-                    extract_isolated(&ctx, idx, &text)
+                    extract_isolated(&ctx, &text).map_err(|error| (error, text))
                 }
             },
             // Backstop only: panics are normally caught per record inside
             // the worker; this path fires only if something outside
-            // `extract_isolated`'s guard unwinds.
-            |message| EngineError::Panicked { message },
+            // `extract_isolated`'s guard unwinds, and the text is gone
+            // with the unwound closure.
+            |message| (EngineError::Panicked { message }, String::new()),
             emit,
         )
     }
 }
 
-/// Everything one worker needs to process a record: pipeline, budgets,
-/// quarantine. Shared with the resident-service workers
+/// Everything one worker needs to process a record: pipeline and
+/// budgets. Shared with the resident-service workers
 /// (`crate::service`), which run the same guarded extraction around one
 /// HTTP request at a time.
 pub(crate) struct WorkerCtx<'a> {
     pub(crate) pipeline: &'a Pipeline,
     pub(crate) max_record_millis: Option<u64>,
     pub(crate) max_record_sentences: Option<usize>,
-    pub(crate) quarantine: Option<&'a QuarantineFile>,
 }
 
 /// A worker's outcome for one record: the record and the parse-cache
@@ -325,33 +326,26 @@ pub(crate) fn tally(
     result
 }
 
-/// Runs one record under one `catch_unwind` and appends a failed record
-/// to the quarantine (when one is attached). The pipeline holds no
+/// Runs one record under one `catch_unwind`. The pipeline holds no
 /// cross-record invariants (caches are valid at every unwind point), so
 /// the worker keeps using it after a caught panic.
-pub(crate) fn extract_isolated(ctx: &WorkerCtx<'_>, idx: usize, text: &str) -> WorkerOutcome {
-    let error = match catch_unwind(AssertUnwindSafe(|| extract_one(ctx, text))) {
-        Ok(Ok(out)) => return Ok(out),
-        Ok(Err(exceeded)) => match exceeded.limit {
-            BudgetLimit::Deadline => EngineError::Timeout {
-                millis: ctx.max_record_millis.unwrap_or(0),
+pub(crate) fn extract_isolated(ctx: &WorkerCtx<'_>, text: &str) -> WorkerOutcome {
+    Err(
+        match catch_unwind(AssertUnwindSafe(|| extract_one(ctx, text))) {
+            Ok(Ok(out)) => return Ok(out),
+            Ok(Err(exceeded)) => match exceeded.limit {
+                BudgetLimit::Deadline => EngineError::Timeout {
+                    millis: ctx.max_record_millis.unwrap_or(0),
+                },
+                BudgetLimit::Sentences => EngineError::Budget {
+                    sentences_done: exceeded.sentences_done,
+                },
             },
-            BudgetLimit::Sentences => EngineError::Budget {
-                sentences_done: exceeded.sentences_done,
+            Err(payload) => EngineError::Panicked {
+                message: panic_message(payload.as_ref()),
             },
         },
-        Err(payload) => EngineError::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    };
-    if let Some(q) = ctx.quarantine {
-        q.append(&QuarantineEntry {
-            index: idx,
-            text: text.to_string(),
-            error: error.clone(),
-        });
-    }
-    Err(error)
+    )
 }
 
 /// Processes one record on a worker: parse, budgeted extraction. Returns

@@ -2,24 +2,27 @@
 //!
 //! [`run_journaled`] is the one loop behind `cmr extract --journal` and
 //! the I/O fault sweep. Per record, in input order, it appends the
-//! journal entry and only then emits the output line, so every line a
-//! consumer has seen is recoverable from the journal.
+//! journal entry and only then emits the output line (and, for a failed
+//! record, the quarantine entry), so every line a consumer has seen is
+//! recoverable from the journal.
 //!
 //! * **Resume.** A journal that died at birth (no complete manifest
 //!   line) is started fresh. Otherwise the manifest must match this run.
-//!   The journaled prefix streams back to the output, one entry at a
-//!   time, and only the remainder is extracted. After a compaction the
-//!   output file's prefix is verified against the snapshot fingerprint
-//!   and anything after it is truncated. The run's metrics start from
+//!   The journaled prefix streams back to the output and the quarantine,
+//!   one entry at a time, with each failed record's text read from the
+//!   feed in step; only the remainder is extracted. After a compaction
+//!   the output file's prefix is verified against the snapshot
+//!   fingerprint, the quarantine keeps the entries before the snapshot,
+//!   and anything after them is truncated. The run's metrics start from
 //!   the snapshot's counts, and every replayed entry is counted the way
 //!   the engine counts a live record, so they cover the whole corpus.
 //! * **Compaction.** Every `compact_every` records this run journals, the
-//!   output is flushed and then the journal is rewritten as manifest +
-//!   snapshot, which carries the counts of every record so far. The
-//!   flush comes first: the snapshot may only describe bytes that
-//!   survive a crash.
-//! * **Clean abort.** An I/O failure on the journal or the output raises
-//!   the engine's shutdown flag. In-flight records drain without being
+//!   output and the quarantine are flushed and then the journal is
+//!   rewritten as manifest + snapshot, which carries the counts of every
+//!   record so far. The flush comes first: the snapshot may only
+//!   describe bytes that survive a crash.
+//! * **Clean abort.** An I/O failure on the journal, the output or the
+//!   quarantine raises the engine's shutdown flag. In-flight records drain without being
 //!   journaled or emitted, and the journal stays a valid prefix that a
 //!   later resume completes.
 //!
@@ -32,6 +35,7 @@ use crate::journal::{
     RunManifest, Snapshot,
 };
 use crate::metrics::EngineMetrics;
+use crate::quarantine::QuarantineFile;
 use cmr_core::ExtractedRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, StdoutLock, Write};
@@ -56,21 +60,26 @@ pub fn error_line(message: &str) -> String {
 }
 
 /// Where extraction's record lines land: one [`outcome_line`] per
-/// record.
+/// record, and with a quarantine attached one
+/// [`QuarantineEntry`](crate::QuarantineEntry) per failed record, both in
+/// stream order on the emitting thread.
 ///
 /// Stdout is flushed per line, so a downstream consumer (or a post-crash
 /// inspection) sees every completed record, and a closed pipe (`| head`)
 /// stops output without failing the batch. A file is buffered (flushed at
-/// compaction points and at the end). Its first write error is kept,
-/// later lines are dropped, and [`RecordSink::flush`] reports the error:
-/// a truncated shard output would poison the merge.
+/// compaction points and at the end), and so is the quarantine. The first
+/// write error on either file is kept, later lines are dropped, and
+/// [`RecordSink::flush`] reports the error: a truncated shard output
+/// would poison the merge.
 ///
-/// Every line also feeds the rolling [`OutputFingerprint`] that journal
-/// compaction snapshots.
+/// Every output line also feeds the rolling [`OutputFingerprint`] that
+/// journal compaction snapshots.
 pub struct RecordSink {
     dest: Dest,
+    quarantine: Option<QuarantineFile>,
     fingerprint: OutputFingerprint,
-    write_error: Option<std::io::Error>,
+    /// The first failed write, described.
+    write_error: Option<String>,
 }
 
 enum Dest {
@@ -78,32 +87,66 @@ enum Dest {
         w: StdoutLock<'static>,
         closed: bool,
     },
-    File(BufWriter<File>),
+    /// A buffered file, and its path as error messages show it.
+    File(BufWriter<File>, String),
 }
 
 impl RecordSink {
-    /// Record lines to the file at `path` (created or truncated), or to
-    /// stdout when `path` is `None`.
-    pub fn open(path: Option<&Path>) -> std::io::Result<RecordSink> {
-        Ok(RecordSink::new(match path {
-            Some(path) => Dest::File(BufWriter::new(File::create(path)?)),
+    /// Record lines to the file at `output` (created or truncated), or to
+    /// stdout when it is `None`; failed records to the quarantine file at
+    /// `quarantine` (created or truncated), when given.
+    pub fn open(output: Option<&Path>, quarantine: Option<&Path>) -> Result<RecordSink, String> {
+        RecordSink::reopen(output, quarantine, None)
+    }
+
+    /// [`RecordSink::open`] for a resumed run whose journal was compacted
+    /// at `snapshot`: the output file keeps the lines the snapshot
+    /// fingerprinted, the quarantine its entries before the snapshot, and
+    /// what follows either is dropped.
+    fn reopen(
+        output: Option<&Path>,
+        quarantine: Option<&Path>,
+        snapshot: Option<&Snapshot>,
+    ) -> Result<RecordSink, String> {
+        let dest = match output {
+            Some(path) => {
+                let file = match snapshot {
+                    Some(snap) => truncate_to_snapshot(path, "output", |r| {
+                        verify_output_prefix(r, snap).map(|(valid_bytes, _)| valid_bytes)
+                    })?,
+                    None => File::create(path)
+                        .map_err(|e| format!("creating {}: {e}", path.display()))?,
+                };
+                Dest::File(BufWriter::new(file), path.display().to_string())
+            }
             None => Dest::Stdout {
                 w: std::io::stdout().lock(),
                 closed: false,
             },
-        }))
-    }
-
-    fn new(dest: Dest) -> RecordSink {
-        RecordSink {
+        };
+        let fingerprint = match snapshot {
+            Some(snap) => OutputFingerprint::from_hex(&snap.output_fingerprint)
+                .ok_or_else(|| "corrupt snapshot".to_string())?,
+            None => OutputFingerprint::new(),
+        };
+        Ok(RecordSink {
             dest,
-            fingerprint: OutputFingerprint::new(),
+            quarantine: quarantine
+                .map(|path| QuarantineFile::open(path, snapshot))
+                .transpose()?,
+            fingerprint,
             write_error: None,
-        }
+        })
     }
 
-    /// Writes one record's line.
-    pub fn emit(&mut self, result: &Result<ExtractedRecord, EngineError>) {
+    /// Writes record `index`'s line and, when it failed and a quarantine
+    /// is attached, its quarantine entry with `text`, the record's text.
+    pub(crate) fn emit(
+        &mut self,
+        index: usize,
+        result: &Result<ExtractedRecord, EngineError>,
+        text: Option<String>,
+    ) {
         let line = outcome_line(result);
         self.fingerprint.add_line(&line);
         match &mut self.dest {
@@ -112,26 +155,34 @@ impl RecordSink {
                     *closed = true;
                 }
             }
-            Dest::File(w) => {
+            Dest::File(w, name) => {
                 if self.write_error.is_none() {
                     if let Err(e) = writeln!(w, "{line}") {
-                        self.write_error = Some(e);
+                        self.write_error = Some(io_fault("writing", name, &e));
                     }
                 }
             }
         }
+        if let (Err(error), Some(q)) = (result, &mut self.quarantine) {
+            if self.write_error.is_none() {
+                self.write_error = q.append(index, text.unwrap_or_default(), error).err();
+            }
+        }
     }
 
-    /// Pushes buffered lines to the file, or reports the first write
-    /// error. A no-op for stdout, which flushes per line.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        match &mut self.dest {
-            Dest::Stdout { .. } => Ok(()),
-            Dest::File(w) => match self.write_error.take() {
-                Some(e) => Err(e),
-                None => w.flush(),
-            },
+    /// Pushes buffered lines to the output file and the quarantine, or
+    /// reports the first write error. Stdout flushes per line.
+    pub fn flush(&mut self) -> Result<(), String> {
+        if let Some(why) = self.write_error.take() {
+            return Err(why);
         }
+        if let Dest::File(w, name) = &mut self.dest {
+            w.flush().map_err(|e| io_fault("writing", name, &e))?;
+        }
+        if let Some(q) = &mut self.quarantine {
+            q.flush()?;
+        }
+        Ok(())
     }
 }
 
@@ -143,6 +194,8 @@ pub struct JournalRun<'a> {
     pub journal: &'a Path,
     /// Record lines go to this file, or to stdout when `None`.
     pub output: Option<&'a Path>,
+    /// Failed records go to this quarantine file, when given.
+    pub quarantine: Option<&'a Path>,
     /// Continue from the journal if it holds a manifest; otherwise (and
     /// always when `false`) start a fresh journal and output.
     pub resume: bool,
@@ -186,7 +239,8 @@ pub struct JournalOutcome {
 pub enum JournalRunError {
     /// The journal cannot be resumed as this run (another manifest, a
     /// corrupt journal, an output prefix that is missing or was
-    /// modified), or the output file could not be opened.
+    /// modified, a quarantine prefix that does not match the snapshot),
+    /// or the output or quarantine file could not be opened.
     Refused(String),
     /// Creating or reopening the journal failed.
     Journal(String),
@@ -204,7 +258,7 @@ impl std::error::Error for JournalRunError {}
 
 /// Labels an I/O failure on a durability path with its class (ENOSPC,
 /// permission, …), the "why" printed beside a clean abort.
-fn io_fault(action: &str, path: &str, e: &std::io::Error) -> String {
+pub(crate) fn io_fault(action: &str, path: &str, e: &std::io::Error) -> String {
     let class = match e.kind() {
         std::io::ErrorKind::StorageFull => "disk full (ENOSPC)",
         std::io::ErrorKind::PermissionDenied => "permission denied",
@@ -221,7 +275,7 @@ fn io_fault(action: &str, path: &str, e: &std::io::Error) -> String {
 pub fn run_journaled<I>(
     engine: Engine,
     manifest: &RunManifest,
-    feed: I,
+    mut feed: I,
     run: JournalRun<'_>,
     mut on_event: impl FnMut(RunEvent),
 ) -> Result<JournalOutcome, JournalRunError>
@@ -229,14 +283,7 @@ where
     I: Iterator<Item = String> + Send,
 {
     let journal = run.journal.display().to_string();
-    let output = run
-        .output
-        .map_or_else(|| "stdout".to_string(), |p| p.display().to_string());
     let refused = |why: String| JournalRunError::Refused(format!("cannot resume {journal}: {why}"));
-    let open_output = || {
-        RecordSink::open(run.output)
-            .map_err(|e| JournalRunError::Refused(format!("creating {output}: {e}")))
-    };
     // A journal that died at birth — the crash or ENOSPC hit before the
     // manifest line was complete — holds nothing and proves nothing was
     // emitted (the manifest precedes every record). Resume heals it by
@@ -252,17 +299,12 @@ where
             return Err(refused(why));
         }
         // A compacted journal has no entries left for the records before
-        // its snapshot: a file output must still hold them. The snapshot's
-        // rolling fingerprint carries the output identity across the gap.
-        let mut sink = match (replay.snapshot(), run.output) {
-            (Some(snap), Some(path)) => RecordSink::new(Dest::File(BufWriter::new(
-                truncate_to_snapshot(path, snap).map_err(refused)?,
-            ))),
-            _ => open_output()?,
-        };
-        if let Some(snap) = replay.snapshot() {
-            sink.fingerprint = OutputFingerprint::from_hex(&snap.output_fingerprint)
-                .ok_or_else(|| refused("corrupt snapshot".to_string()))?;
+        // its snapshot: a file output and the quarantine must still hold
+        // them. The snapshot's rolling fingerprint carries the output
+        // identity across the gap.
+        let snapshot = replay.snapshot();
+        let mut sink = RecordSink::reopen(run.output, run.quarantine, snapshot).map_err(refused)?;
+        if let Some(snap) = snapshot {
             counts = EngineMetrics {
                 records: snap.records,
                 errors: snap.errors,
@@ -270,15 +312,17 @@ where
                 degradation: snap.degradation,
                 ..EngineMetrics::default()
             };
+            feed.by_ref().take(snap.completed).for_each(drop);
         }
-        // Stream the journaled prefix straight to the output, O(one
-        // entry) memory, so the final output is byte-identical to an
-        // uninterrupted run.
+        // Stream the journaled prefix straight to the output and the
+        // quarantine, O(one entry) memory, so both end byte-identical to
+        // an uninterrupted run. The feed is read in step for the failed
+        // records' texts.
         let mut replayed = 0;
         while let Some(step) = replay.next_entry() {
             let entry = step.map_err(|e| refused(e.to_string()))?;
             counts.count(&entry.output);
-            sink.emit(&entry.output);
+            sink.emit(entry.index, &entry.output, feed.next());
             replayed += 1;
         }
         let start = replay.completed();
@@ -293,7 +337,9 @@ where
     } else {
         let writer = JournalWriter::create(run.journal, manifest)
             .map_err(|e| JournalRunError::Journal(io_fault("creating", &journal, &e)))?;
-        (writer, 0, open_output()?)
+        let sink =
+            RecordSink::open(run.output, run.quarantine).map_err(JournalRunError::Refused)?;
+        (writer, 0, sink)
     };
 
     // An abort must stop the feeder, so the engine always has a shutdown
@@ -302,7 +348,7 @@ where
     let engine = engine.with_shutdown(Arc::clone(&stop));
     let mut journaled = 0u64;
     let mut abort: Option<String> = None;
-    let metrics = engine.extract_counted(counts, feed.skip(start), |idx, result, counted| {
+    let metrics = engine.extract_counted(counts, feed, |idx, result, text, counted| {
         if abort.is_some() {
             return;
         }
@@ -317,16 +363,16 @@ where
             writer
                 .append(&entry)
                 .map_err(|e| io_fault("writing", &journal, &e))?;
-            sink.emit(&entry.output);
-            if let Some(e) = sink.write_error.take() {
-                // Journaled but not durable on the output: resume rebuilds
-                // the output from the journal.
-                return Err(io_fault("writing", &output, &e));
-            }
             journaled += 1;
+            sink.emit(entry.index, &entry.output, text);
+            if let Some(why) = sink.write_error.take() {
+                // Journaled but not durable on the output or the
+                // quarantine: resume rebuilds both from the journal.
+                return Err(why);
+            }
             on_event(RunEvent::Journaled(journaled));
             if run.compact_every > 0 && journaled.is_multiple_of(run.compact_every) {
-                sink.flush().map_err(|e| io_fault("writing", &output, &e))?;
+                sink.flush()?;
                 let snap = Snapshot {
                     completed: start + journaled as usize,
                     output_fingerprint: sink.fingerprint.as_hex(),
@@ -348,7 +394,7 @@ where
         }
     });
     if abort.is_none() {
-        abort = sink.flush().err().map(|e| io_fault("writing", &output, &e));
+        abort = sink.flush().err();
     }
     Ok(JournalOutcome {
         metrics,
@@ -357,18 +403,21 @@ where
     })
 }
 
-/// Opens the output of a compacted journal for appending: proves its
-/// first `snap.completed` lines are the ones the snapshot fingerprinted,
-/// and drops whatever follows them (the un-journaled tail of a crash).
-fn truncate_to_snapshot(path: &Path, snap: &Snapshot) -> Result<File, String> {
+/// Opens the `what` file of a compacted journal for appending: `prefix`
+/// proves and measures the part the snapshot covers, and whatever follows
+/// it (the un-journaled tail of a crash) is dropped.
+pub(crate) fn truncate_to_snapshot(
+    path: &Path,
+    what: &str,
+    prefix: impl FnOnce(&mut BufReader<&File>) -> std::io::Result<u64>,
+) -> Result<File, String> {
     let shown = path.display();
     let mut f = OpenOptions::new()
         .read(true)
         .write(true)
         .open(path)
-        .map_err(|e| format!("opening its output file {shown}: {e}"))?;
-    let (valid_bytes, _) =
-        verify_output_prefix(&mut BufReader::new(&f), snap).map_err(|e| e.to_string())?;
+        .map_err(|e| format!("opening its {what} file {shown}: {e}"))?;
+    let valid_bytes = prefix(&mut BufReader::new(&f)).map_err(|e| e.to_string())?;
     f.set_len(valid_bytes)
         .and_then(|()| f.seek(SeekFrom::Start(valid_bytes)))
         .map_err(|e| format!("truncating {shown}: {e}"))?;

@@ -24,7 +24,7 @@
 //! * **Durability** — a write-ahead journal ([`JournalWriter`]) of
 //!   completed records with crash-recovery resume ([`run_journaled`],
 //!   the one journaled-run loop the CLI and the fault sweep share), a
-//!   poison quarantine for failed records ([`QuarantineFile`]), and
+//!   poison quarantine that [`RecordSink`] writes beside the output, and
 //!   graceful shutdown ([`Engine::with_shutdown`]) that drains in-flight
 //!   records.
 //!
@@ -73,6 +73,6 @@ pub use metrics::{
     DegradationTotals, DurationHistogram, EngineMetrics, ErrorCounts, MethodCounts,
     ParseCacheMetrics, ServiceLatency, HISTOGRAM_BUCKETS,
 };
-pub use quarantine::{read_quarantine, QuarantineEntry, QuarantineFile};
+pub use quarantine::{read_quarantine, QuarantineEntry};
 pub use service::{LatencyKind, ServiceHandle, ServiceWorker};
 pub use shard::{merge_outputs, merge_quarantine, shard_of, ShardSpec};

@@ -239,8 +239,6 @@ pub struct EngineMetrics {
     /// Degradation accounting (parse failures, salvaged records) summed
     /// over successful records.
     pub degradation: DegradationTotals,
-    /// Failed records appended to the poison-quarantine file.
-    pub quarantined: u64,
     /// Request-latency histograms (resident service only; empty for
     /// batch runs).
     pub service: ServiceLatency,
@@ -301,7 +299,6 @@ impl EngineMetrics {
         self.parse_cache.merge(&other.parse_cache);
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
-        self.quarantined += other.quarantined;
         self.service.merge(&other.service);
         self.channel_wait_nanos += other.channel_wait_nanos;
         self.reorder_buffer_high_water = self
@@ -403,7 +400,6 @@ mod tests {
         });
         m.errors.panics = 1;
         m.errors.timeouts = 2;
-        m.quarantined = 1;
         m.jobs = 4;
         m.set_wall(2_000_000_000);
         m.channel_wait_nanos = 123_456_789;
@@ -425,7 +421,6 @@ mod tests {
         assert_eq!(back.degradation.degraded_records, 1);
         assert_eq!(back.errors.timeouts, 2);
         assert_eq!(back.errors.total(), 3);
-        assert_eq!(back.quarantined, 1);
     }
 
     /// Satellite pin for the PR5 u64-as-i64 serde pitfall: the vendored
@@ -495,7 +490,6 @@ mod tests {
             records: 30,
             jobs: 4,
             wall_nanos: 4_000_000_000,
-            quarantined: 1,
             reorder_buffer_high_water: 7,
             ..Default::default()
         };
@@ -509,7 +503,6 @@ mod tests {
         assert_eq!(a.methods.pattern, 4);
         assert_eq!(a.parse_cache.hits, 5);
         assert_eq!(a.parse_cache.misses, 2);
-        assert_eq!(a.quarantined, 1);
         assert_eq!(a.reorder_buffer_high_water, 7);
     }
 

@@ -2,19 +2,24 @@
 //!
 //! A record whose extraction fails (it panics, trips its sentence budget,
 //! or runs past its deadline) is reported as a per-item error and the
-//! batch keeps going. When a [`QuarantineFile`] is attached, the engine
-//! also appends one NDJSON entry with the record text and its typed error
-//! — enough to replay the record in isolation later. Extraction is a pure
-//! function of the note, so the record is never re-run: a second attempt
-//! would fail the same way.
+//! batch keeps going. With a quarantine file attached, the
+//! [`RecordSink`](crate::RecordSink) also writes one NDJSON entry with the
+//! record text and its typed error — enough to replay the record in
+//! isolation later. Extraction is a pure function of the note, so the
+//! record is never re-run: a second attempt would fail the same way.
+//!
+//! The sink writes entries next to the output lines, on the emitting
+//! thread, so they are in stream order and a resumed journaled run
+//! rebuilds the file like the output. `cmr merge` maps a shard's stream
+//! indices onto global ones.
 
 use crate::engine::EngineError;
+use crate::journal::Snapshot;
+use crate::journaled::{io_fault, truncate_to_snapshot};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// One poisoned record, as serialized into the quarantine file.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,108 +32,77 @@ pub struct QuarantineEntry {
     pub error: EngineError,
 }
 
-/// An append-only NDJSON file of poisoned records, shared by the pool's
-/// workers. Writes are serialized by a mutex and flushed per entry;
-/// they are *best-effort* — an IO error while quarantining must never
-/// take down the batch the quarantine exists to protect.
-#[derive(Debug)]
-pub struct QuarantineFile {
-    inner: Mutex<File>,
-    /// Entries fully written since the file was opened.
-    written: AtomicU64,
-    /// Entry indices are rewritten to `base + index * stride` at append
-    /// time: a shard run (`--shard i/N`) quarantines under *global*
-    /// corpus indices, so merged quarantine files from different shards
-    /// never collide. Identity (`0`, `1`) for unsharded runs.
-    index_base: usize,
-    index_stride: usize,
+/// A sink's quarantine file, buffered like its output file.
+pub(crate) struct QuarantineFile {
+    w: BufWriter<File>,
+    /// The path, as error messages show it.
+    name: String,
 }
 
 impl QuarantineFile {
-    /// Creates (truncating) the quarantine file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<QuarantineFile> {
+    /// Creates (truncating) the quarantine file at `path`; or, for a run
+    /// resumed from a journal compacted at `snapshot`, keeps one entry per
+    /// failure the snapshot counts (the entries of the records before it)
+    /// and drops what follows, a torn line included: the resumed run
+    /// rewrites those from the journal.
+    pub(crate) fn open(path: &Path, snapshot: Option<&Snapshot>) -> Result<QuarantineFile, String> {
+        let name = path.display().to_string();
+        let file = match snapshot {
+            None => File::create(path).map_err(|e| format!("creating {name}: {e}"))?,
+            Some(snap) => truncate_to_snapshot(path, "quarantine", |r| {
+                let (failed, mut valid_bytes) = (snap.errors.total(), 0);
+                for kept in 0..failed {
+                    let mut line = Vec::new();
+                    r.read_until(b'\n', &mut line)?;
+                    if line.last() != Some(&b'\n') {
+                        return Err(std::io::Error::other(format!(
+                            "its quarantine file {name} holds {kept} entries, but the \
+                             journal snapshot counts {failed} failed record(s)"
+                        )));
+                    }
+                    valid_bytes += line.len() as u64;
+                }
+                Ok(valid_bytes)
+            })?,
+        };
         Ok(QuarantineFile {
-            inner: Mutex::new(File::create(path)?),
-            written: AtomicU64::new(0),
-            index_base: 0,
-            index_stride: 1,
+            w: BufWriter::new(file),
+            name,
         })
     }
 
-    /// Opens the quarantine file at `path` for appending, creating it if
-    /// absent — the resume path, where entries from a previous killed
-    /// attempt must survive. (A record quarantined but not yet journaled
-    /// at the kill is re-quarantined by the resumed attempt; `cmr merge`
-    /// dedupes such double entries by index.)
-    pub fn open_append(path: &Path) -> std::io::Result<QuarantineFile> {
-        Ok(QuarantineFile {
-            inner: Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            ),
-            written: AtomicU64::new(0),
-            index_base: 0,
-            index_stride: 1,
-        })
-    }
-
-    /// Maps the stream-local indices this file is handed onto global
-    /// corpus indices: entry `i` is written as `base + i * stride`.
-    /// Shard `s` of `N` passes (`s`, `N`).
-    pub fn with_index_mapping(mut self, base: usize, stride: usize) -> QuarantineFile {
-        self.index_base = base;
-        self.index_stride = stride.max(1);
-        self
-    }
-
-    /// Appends one entry as a single NDJSON line, rewriting its index
-    /// through the global index mapping. Returns whether the write fully
-    /// succeeded; failure is reported, not propagated.
+    /// Buffers record `index`'s entry as an NDJSON line.
     ///
-    /// Carries the `quarantine::append` failpoint (partial writes land
-    /// their torn prefix, which `read_quarantine`'s blank-line filter and
-    /// per-line parse surface rather than crash on).
-    pub fn append(&self, entry: &QuarantineEntry) -> bool {
-        let mapped;
-        let entry = if self.index_base == 0 && self.index_stride == 1 {
-            entry
-        } else {
-            mapped = QuarantineEntry {
-                index: self.index_base + entry.index * self.index_stride,
-                text: entry.text.clone(),
-                error: entry.error.clone(),
-            };
-            &mapped
-        };
-        let Ok(mut line) = serde_json::to_string(entry) else {
-            return false;
-        };
+    /// Carries the `quarantine::append` failpoint: a partial write lands
+    /// its torn prefix in the file, which a resume drops.
+    pub(crate) fn append(
+        &mut self,
+        index: usize,
+        text: String,
+        error: &EngineError,
+    ) -> Result<(), String> {
+        let error = error.clone();
+        let mut line = serde_json::to_string(&QuarantineEntry { index, text, error })
+            .map_err(|e| format!("serializing a quarantine entry: {e:?}"))?;
         line.push('\n');
-        let mut file = self
-            .inner
-            .lock() // cmr:allow(S001) -- this mutex exists to serialize appends to one file; the write IS the critical section
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(inj) = cmr_failpoint::io_inject("quarantine::append") {
-            if let cmr_failpoint::IoInjection::Partial(n) = inj {
-                let cut = n.min(line.len());
-                let _ = file.write_all(&line.as_bytes()[..cut]);
+        let written = match cmr_failpoint::io_inject("quarantine::append") {
+            Some(inj) => {
+                if let cmr_failpoint::IoInjection::Partial(n) = inj {
+                    let _ = self.w.write_all(&line.as_bytes()[..n.min(line.len())]);
+                    let _ = self.w.flush();
+                }
+                Err(inj.into_io_error())
             }
-            return false;
-        }
-        let ok = file.write_all(line.as_bytes()).is_ok() && file.flush().is_ok();
-        if ok {
-            self.written.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+            None => self.w.write_all(line.as_bytes()),
+        };
+        written.map_err(|e| io_fault("writing", &self.name, &e))
     }
 
-    /// Entries fully written since the file was opened — what
-    /// [`EngineMetrics::quarantined`](crate::EngineMetrics::quarantined)
-    /// reports.
-    pub fn written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
+    /// Pushes buffered entries to the file.
+    pub(crate) fn flush(&mut self) -> Result<(), String> {
+        self.w
+            .flush()
+            .map_err(|e| io_fault("writing", &self.name, &e))
     }
 }
 
@@ -145,50 +119,81 @@ pub fn read_quarantine(path: &Path) -> std::io::Result<Vec<QuarantineEntry>> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::metrics::ErrorCounts;
+    use std::fs::OpenOptions;
 
-    #[test]
-    fn quarantine_index_mapping_and_append_reopen() {
-        let path = std::env::temp_dir().join(format!("cmr-quar-map-{}.ndjson", std::process::id()));
-        let entry = |index| QuarantineEntry {
+    fn entry(index: usize) -> QuarantineEntry {
+        QuarantineEntry {
             index,
-            text: "note".into(),
+            text: format!("Patient: {index}\nPulse is 84.\n"),
             error: EngineError::Timeout { millis: 50 },
-        };
-        // Shard 1 of 3: local index 2 is global index 1 + 2*3 = 7.
-        let q = QuarantineFile::create(&path)
-            .unwrap()
-            .with_index_mapping(1, 3);
-        assert!(q.append(&entry(2)));
-        drop(q);
-        let back = read_quarantine(&path).unwrap();
-        assert_eq!(back[0].index, 7, "entries carry global corpus indices");
+        }
+    }
 
-        // A resumed attempt reopens in append mode: prior entries survive.
-        let q = QuarantineFile::open_append(&path)
-            .unwrap()
-            .with_index_mapping(1, 3);
-        assert!(q.append(&entry(2)));
-        drop(q);
-        let back = read_quarantine(&path).unwrap();
-        assert_eq!(back.len(), 2, "killed-attempt entry survives the resume");
-        assert_eq!(back[0].index, back[1].index);
-        let _ = std::fs::remove_file(&path);
+    fn write(path: &Path, indices: &[usize]) {
+        let mut q = QuarantineFile::open(path, None).unwrap();
+        for &index in indices {
+            let e = entry(index);
+            q.append(index, e.text, &e.error).unwrap();
+        }
+        q.flush().unwrap();
     }
 
     #[test]
     fn quarantine_roundtrips_through_the_file() {
         let path =
             std::env::temp_dir().join(format!("cmr-quar-test-{}.ndjson", std::process::id()));
-        let q = QuarantineFile::create(&path).unwrap();
-        let entry = QuarantineEntry {
-            index: 7,
-            text: "Patient: 1\nPulse is 84.\n".into(),
-            error: EngineError::Timeout { millis: 50 },
-        };
-        assert!(q.append(&entry));
-        assert_eq!(q.written(), 1);
-        let back = read_quarantine(&path).unwrap();
-        assert_eq!(back, vec![entry]);
+        write(&path, &[7]);
+        assert_eq!(read_quarantine(&path).unwrap(), vec![entry(7)]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_keeps_the_snapshot_prefix_and_drops_the_rest() {
+        let path =
+            std::env::temp_dir().join(format!("cmr-quar-resume-{}.ndjson", std::process::id()));
+        let snapshot = |completed, failed| Snapshot {
+            completed,
+            errors: ErrorCounts {
+                timeouts: failed,
+                ..ErrorCounts::default()
+            },
+            ..Snapshot::default()
+        };
+        let torn = |path: &Path| {
+            write(path, &[0, 2, 5]);
+            let mut f = OpenOptions::new().append(true).open(path).unwrap();
+            f.write_all(b"{\"index\":9,\"te").unwrap();
+        };
+
+        // Records 0..3 precede the snapshot: entries 0 and 2 stay; 5 and
+        // the torn line go, and the resumed run appends after them.
+        torn(&path);
+        let mut q = QuarantineFile::open(&path, Some(&snapshot(3, 2))).unwrap();
+        let e = entry(4);
+        q.append(4, e.text, &e.error).unwrap();
+        q.flush().unwrap();
+        drop(q);
+        let indices: Vec<usize> = read_quarantine(&path)
+            .unwrap()
+            .iter()
+            .map(|e| e.index)
+            .collect();
+        assert_eq!(indices, vec![0, 2, 4]);
+
+        // Without a snapshot the journal replays everything: start empty.
+        torn(&path);
+        drop(QuarantineFile::open(&path, None).unwrap());
+        assert!(read_quarantine(&path).unwrap().is_empty());
+
+        // Fewer complete entries than the snapshot's failures, or no
+        // file, is refused, not rebuilt.
+        torn(&path);
+        let err = QuarantineFile::open(&path, Some(&snapshot(6, 4)))
+            .err()
+            .unwrap();
+        assert!(err.contains("holds 3 entries"), "{err}");
+        let _ = std::fs::remove_file(&path);
+        assert!(QuarantineFile::open(&path, Some(&snapshot(3, 2))).is_err());
     }
 }

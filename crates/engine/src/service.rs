@@ -147,9 +147,8 @@ impl ServiceWorker {
             pipeline: &self.pipeline,
             max_record_millis: self.service.cfg.max_record_millis,
             max_record_sentences: self.service.cfg.max_record_sentences,
-            quarantine: None,
         };
-        let outcome = extract_isolated(&ctx, 0, text);
+        let outcome = extract_isolated(&ctx, text);
         tally(&mut self.service.lock_metrics(), outcome)
     }
 

@@ -10,9 +10,8 @@
 //!
 //! * [`merge_outputs`] round-robin interleaves the shard output files,
 //!   restoring global input order line for line;
-//! * [`merge_quarantine`] globally orders quarantine entries and drops
-//!   the duplicates a kill-between-quarantine-and-journal leaves behind
-//!   (the entry is written again by the resumed attempt);
+//! * [`merge_quarantine`] maps each shard's quarantine entries from
+//!   stream indices to global ones and orders them globally;
 //! * [`crate::EngineMetrics::merge`] sums per-shard metrics.
 //!
 //! The merge is pure bookkeeping — no extraction reruns — so merging N
@@ -119,18 +118,21 @@ pub fn merge_outputs<R: BufRead, W: Write>(shards: &mut [R], out: &mut W) -> std
     }
 }
 
-/// Globally orders quarantine entries from any number of shards and
-/// drops per-index duplicates, keeping each index's first entry.
-///
-/// Duplicates are not corruption: a shard killed *after* a worker
-/// quarantined a record but *before* the sink journaled it re-processes
-/// that record on resume and quarantines it again. Extraction is a pure
-/// function of the note, so both entries describe the same outcome;
-/// exactly one belongs in the merged file.
-pub fn merge_quarantine(mut entries: Vec<QuarantineEntry>) -> Vec<QuarantineEntry> {
-    entries.sort_by_key(|e| e.index);
-    entries.dedup_by_key(|e| e.index);
-    entries
+/// Merges the shards' quarantine entries (shard `i` of `shards.len()`
+/// first) into the unsharded run's: shard `i`'s entry at stream index
+/// `k` is global record `i + k·N`, and the merged entries are in global
+/// order.
+pub fn merge_quarantine(shards: Vec<Vec<QuarantineEntry>>) -> Vec<QuarantineEntry> {
+    let total = shards.len();
+    let mut merged = Vec::new();
+    for (index, entries) in shards.into_iter().enumerate() {
+        for mut entry in entries {
+            entry.index = ShardSpec { index, total }.global_index(entry.index);
+            merged.push(entry);
+        }
+    }
+    merged.sort_by_key(|e| e.index);
+    merged
 }
 
 #[cfg(test)]
@@ -196,23 +198,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_quarantine_orders_globally_and_dedupes_resume_duplicates() {
+    fn merge_quarantine_maps_stream_indices_to_global_order() {
         let entry = |index: usize, tag: &str| QuarantineEntry {
             index,
             text: tag.to_string(),
             error: EngineError::Timeout { millis: 50 },
         };
+        // 3 shards: shard 0 owns 0,3,6 | shard 1 owns 1,4,7 | shard 2 owns 2,5.
         let merged = merge_quarantine(vec![
-            entry(7, "shard1-resumed"),
-            entry(2, "shard2"),
-            entry(7, "shard1-killed-attempt"),
-            entry(4, "shard0"),
+            vec![entry(1, "g3"), entry(2, "g6")],
+            vec![entry(2, "g7")],
+            vec![entry(0, "g2")],
         ]);
         let shape: Vec<(usize, &str)> = merged.iter().map(|e| (e.index, e.text.as_str())).collect();
-        assert_eq!(
-            shape,
-            vec![(2, "shard2"), (4, "shard0"), (7, "shard1-resumed")],
-            "sorted by global index, one entry per index"
-        );
+        assert_eq!(shape, vec![(2, "g2"), (3, "g3"), (6, "g6"), (7, "g7")]);
     }
 }

@@ -3,7 +3,7 @@
 
 use cmr_engine::{
     read_journal, read_quarantine, Engine, EngineConfig, EngineError, JournalEntry, JournalWriter,
-    QuarantineFile, RunManifest,
+    RecordSink, RunManifest,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,6 +120,7 @@ fn kill_at_fixed_record_then_resume_is_byte_identical() {
 #[test]
 fn poison_record_is_quarantined_exactly_once_and_batch_survives() {
     let quarantine_path = scratch("poison.ndjson");
+    let output_path = scratch("poison.out");
     let good = "Vitals:  Blood pressure is 144/90, pulse of 84.\n";
     // Two parse-worthy sentences against a one-sentence budget: a
     // deterministic Budget failure.
@@ -130,18 +131,26 @@ fn poison_record_is_quarantined_exactly_once_and_batch_survives() {
         max_record_sentences: Some(1),
         ..EngineConfig::default()
     };
-    let engine = engine(cfg)
-        .with_quarantine(QuarantineFile::create(&quarantine_path).expect("create quarantine"));
-    let out = engine.extract_batch(&[poison, good]);
+    let mut sink = RecordSink::open(Some(&output_path), Some(&quarantine_path)).expect("open sink");
+    let metrics = engine(cfg).extract_to([poison, good].map(String::from).into_iter(), &mut sink);
+    sink.flush().expect("flush sink");
 
+    let lines: Vec<String> = std::fs::read_to_string(&output_path)
+        .expect("output reads back")
+        .lines()
+        .map(String::from)
+        .collect();
     assert!(
-        matches!(out.items[0], Err(EngineError::Budget { .. })),
-        "poison record fails as budget: {:?}",
-        out.items[0]
+        lines[0].starts_with("{\"error\":\"budget exceeded"),
+        "poison record fails as budget: {}",
+        lines[0]
     );
-    assert!(out.items[1].is_ok(), "batch survives the poison record");
-    assert_eq!(out.metrics.quarantined, 1);
-    assert_eq!(out.metrics.errors.budget, 1, "final outcome counted once");
+    assert!(
+        !lines[1].starts_with("{\"error\""),
+        "batch survives the poison record"
+    );
+    assert_eq!(metrics.errors.total(), 1);
+    assert_eq!(metrics.errors.budget, 1, "final outcome counted once");
 
     let entries = read_quarantine(&quarantine_path).expect("quarantine reads back");
     assert_eq!(entries.len(), 1, "poison record appears exactly once");
@@ -149,6 +158,7 @@ fn poison_record_is_quarantined_exactly_once_and_batch_survives() {
     assert_eq!(entries[0].text, poison);
     assert!(matches!(entries[0].error, EngineError::Budget { .. }));
     let _ = std::fs::remove_file(&quarantine_path);
+    let _ = std::fs::remove_file(&output_path);
 }
 
 /// Without a quarantine attached, the failing record only errors in-band.
@@ -163,7 +173,7 @@ fn failed_record_without_quarantine_only_errors_in_band() {
     let out = engine(cfg).extract_batch(&[poison]);
     assert!(matches!(out.items[0], Err(EngineError::Budget { .. })));
     assert_eq!(out.metrics.errors.budget, 1);
-    assert_eq!(out.metrics.quarantined, 0);
+    assert_eq!(out.metrics.errors.total(), 1);
 }
 
 /// A record whose single sentence parses longer than the wall-clock

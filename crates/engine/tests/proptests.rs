@@ -4,9 +4,9 @@
 //! one-worker run, and metrics must stay internally consistent.
 
 use cmr_engine::{
-    outcome_line, read_journal, run_journaled, DegradationTotals, Engine, EngineConfig,
-    EngineMetrics, ErrorCounts, JournalEntry, JournalOutcome, JournalRun, JournalWriter,
-    MethodCounts, RunEvent, RunManifest,
+    read_journal, run_journaled, DegradationTotals, Engine, EngineConfig, EngineMetrics,
+    ErrorCounts, JournalEntry, JournalOutcome, JournalRun, JournalWriter, MethodCounts, RecordSink,
+    RunEvent, RunManifest,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -25,13 +25,14 @@ fn engine(jobs: usize) -> Engine {
     )
 }
 
-/// One [`run_journaled`] pass over `texts` with its output in `out`. With
-/// `stop_after`, the engine's shutdown flag is raised once that many
-/// records are journaled, the way a SIGINT handler stops `cmr extract`.
+/// One [`run_journaled`] pass over `texts` with the journal, output and
+/// quarantine in `files`. With `stop_after`, the engine's shutdown flag
+/// is raised once that many records are journaled, the way a SIGINT
+/// handler stops `cmr extract`.
 fn journaled_pass(
     cfg: &EngineConfig,
     texts: &[String],
-    files: (&Path, &Path),
+    files: (&Path, &Path, &Path),
     resume: bool,
     compact_every: u64,
     stop_after: Option<u64>,
@@ -46,6 +47,7 @@ fn journaled_pass(
     let run = JournalRun {
         journal: files.0,
         output: Some(files.1),
+        quarantine: Some(files.2),
         resume,
         compact_every,
     };
@@ -68,10 +70,10 @@ proptest! {
 
     /// The production resume loop end to end: a [`run_journaled`] run
     /// stopped by its shutdown flag, then resumed through
-    /// `run_journaled`, writes the bytes and reports the deterministic
-    /// counts of one uninterrupted run — at any compaction interval and
-    /// any stop point, over clean or noisy notes, with or without
-    /// budget failures among them.
+    /// `run_journaled`, writes the output and quarantine bytes and
+    /// reports the deterministic counts of one uninterrupted one-worker
+    /// run — at any compaction interval and any stop point, over clean
+    /// or noisy notes, with or without budget failures among them.
     #[test]
     fn stopped_and_resumed_journaled_run_matches_an_uninterrupted_one(
         n in 100usize..160,
@@ -99,29 +101,30 @@ proptest! {
             max_record_sentences: (budget > 0).then_some(budget),
             ..EngineConfig::default()
         };
-        let mut want = String::new();
-        let uninterrupted = Engine::new(
-            cfg.clone(),
-            cmr_core::Schema::paper(),
-            cmr_ontology::Ontology::full(),
-        )
-        .extract_stream(texts.iter().cloned(), |_, outcome| {
-            want.push_str(&outcome_line(&outcome));
-            want.push('\n');
-        });
-
         let dir = std::env::temp_dir().join(format!(
             "cmr-proptest-journaled-{}-{n}-{seed}-{noise_pct}-{budget}-{compact_every}-{stop_after}",
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).expect("scratch dir");
-        let files = (dir.join("run.journal"), dir.join("run.out"));
-        let files = (files.0.as_path(), files.1.as_path());
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("run file");
+
+        let (want_out, want_quarantine) = (dir.join("want.out"), dir.join("want.q"));
+        let mut sink = RecordSink::open(Some(&want_out), Some(&want_quarantine)).expect("sink");
+        let uninterrupted = Engine::new(
+            EngineConfig { jobs: 1, ..cfg },
+            cmr_core::Schema::paper(),
+            cmr_ontology::Ontology::full(),
+        )
+        .extract_to(texts.iter().cloned(), &mut sink);
+        sink.flush().expect("flush");
+
+        let files = (dir.join("run.journal"), dir.join("run.out"), dir.join("run.q"));
+        let files = (files.0.as_path(), files.1.as_path(), files.2.as_path());
         let stopped = journaled_pass(&cfg, &texts, files, false, compact_every, Some(stop_after));
         prop_assert!(stopped.abort.is_none());
         prop_assert!(stopped.completed >= stop_after as usize);
         let resumed = journaled_pass(&cfg, &texts, files, true, compact_every, None);
-        let got = std::fs::read_to_string(files.1).expect("output file");
+        let (got, want) = ((read("run.out"), read("run.q")), (read("want.out"), read("want.q")));
         let _ = std::fs::remove_dir_all(&dir);
 
         prop_assert!(resumed.abort.is_none());

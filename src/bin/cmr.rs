@@ -330,14 +330,14 @@ fn usage() {
          \u{20}      per-record wall-clock deadline, checked inside the link parser's\n\
          \u{20}      search too (a record past it fails as Timeout); SIGINT/SIGTERM drain\n\
          \u{20}      in-flight records, flush the journal, and exit 3 (partial run); a\n\
-         \u{20}      journal write failure (e.g. ENOSPC) drains and exits 4 (clean I/O\n\
-         \u{20}      abort, resumable)\n\
+         \u{20}      journaled run's write failure on the journal, output or quarantine\n\
+         \u{20}      (e.g. ENOSPC) drains and exits 4 (clean I/O abort, resumable)\n\
          \u{20}  cmr merge --dir DIR --shards N [--out FILE] [--metrics FILE]\n\
          \u{20}            [--quarantine FILE]\n\
          \u{20}      recombine the artifacts of an N-way sharded run (DIR/shard-i.*)\n\
          \u{20}      into what an unsharded run would have produced: outputs round-robin\n\
-         \u{20}      interleaved in input order, metrics summed, quarantines globally\n\
-         \u{20}      ordered with kill/resume duplicates dropped\n\
+         \u{20}      interleaved in input order, metrics summed, quarantine entries\n\
+         \u{20}      mapped to global indices and interleaved the same way\n\
          \u{20}  cmr orchestrate --shards N --dir DIR [--workers K] [--jobs J]\n\
          \u{20}                  [--compact-every N] [--max-restarts R] [--backoff-ms MS]\n\
          \u{20}                  [--out FILE] [--metrics FILE] [--quarantine FILE] CORPUS\n\
@@ -548,26 +548,10 @@ fn extract(args: &[String]) -> CmdResult {
         max_record_sentences: args.opt_positive("max-sentences")?,
         ..EngineConfig::default()
     };
+    let quarantine = args.text("quarantine").map(Path::new);
     let shutdown_flag = shutdown::install();
-    let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
+    let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
         .with_shutdown(Arc::clone(&shutdown_flag));
-    if let Some(quarantine) = args.text("quarantine") {
-        // A resumed run appends: entries from the killed attempt survive,
-        // and `cmr merge` dedupes the double-quarantine that a kill
-        // between quarantine-append and journal-append leaves behind.
-        let file = if resume {
-            QuarantineFile::open_append(Path::new(quarantine))
-        } else {
-            QuarantineFile::create(Path::new(quarantine))
-        }
-        .map_err(|e| format!("opening {quarantine}: {e}"))?;
-        // Sharded entries carry their *global* corpus index, so merged
-        // quarantine files read like an unsharded run's.
-        engine = engine.with_quarantine(match shard {
-            Some(s) => file.with_index_mapping(s.index, s.total),
-            None => file,
-        });
-    }
 
     // The source. Note files are read up front, so a missing file fails
     // the command before any output. An --ndjson file streams in O(one
@@ -640,6 +624,7 @@ fn extract(args: &[String]) -> CmdResult {
             let run = JournalRun {
                 journal: Path::new(journal),
                 output: out,
+                quarantine,
                 resume,
                 compact_every: compact_every.unwrap_or(0),
             };
@@ -696,11 +681,9 @@ fn extract(args: &[String]) -> CmdResult {
             (outcome.metrics, progress)
         }
         _ => {
-            let mut sink =
-                RecordSink::open(out).map_err(|e| format!("creating {out_name}: {e}"))?;
-            let metrics = engine.extract_stream(feed, |_idx, result| sink.emit(&result));
-            sink.flush()
-                .map_err(|e| format!("writing {out_name}: {e}"))?;
+            let mut sink = RecordSink::open(out, quarantine)?;
+            let metrics = engine.extract_to(feed, &mut sink);
+            sink.flush()?;
             let extracted = metrics.records + metrics.errors.total();
             let progress = format!("{extracted} record(s) extracted");
             (metrics, progress)
@@ -756,8 +739,8 @@ fn shard_path(dir: &str, index: usize, suffix: &str) -> PathBuf {
 /// Recombines the artifacts of an `n`-way sharded run under `dir` into
 /// unsharded-identical files: outputs round-robin interleaved to `--out`
 /// (stdout by default), metrics summed to `--metrics` and quarantines
-/// deduped to `--quarantine` (each only when given). Returns the merged
-/// record-line count.
+/// merged in global order to `--quarantine` (each only when given).
+/// Returns the merged record-line count.
 fn merge_artifacts(dir: &str, n: usize, args: &Args) -> Result<u64, String> {
     let out = args.text("out").unwrap_or("-");
     let mut readers = Vec::with_capacity(n);
@@ -792,29 +775,25 @@ fn merge_artifacts(dir: &str, n: usize, args: &Args) -> Result<u64, String> {
             .map_err(|e| format!("writing {metrics_out}: {e}"))?;
     }
     if let Some(quarantine_out) = args.text("quarantine") {
-        let mut entries = Vec::new();
+        let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let p = shard_path(dir, i, "quarantine.ndjson");
-            // A shard that never quarantined anything may simply have no
-            // file (orchestrate always passes --quarantine, but hand-run
-            // shards might not).
-            if p.exists() {
-                entries.extend(
-                    read_quarantine(&p).map_err(|e| format!("reading {}: {e}", p.display()))?,
-                );
-            }
+            // A hand-run shard without --quarantine has no file
+            // (orchestrate always passes it).
+            shards.push(if p.exists() {
+                read_quarantine(&p).map_err(|e| format!("reading {}: {e}", p.display()))?
+            } else {
+                Vec::new()
+            });
         }
-        let merged = merge_quarantine(entries);
+        let merged = merge_quarantine(shards);
         let mut body = String::new();
         for e in &merged {
             body.push_str(&serde_json::to_string(e).map_err(|e| e.to_string())?);
             body.push('\n');
         }
         fs::write(quarantine_out, body).map_err(|e| format!("writing {quarantine_out}: {e}"))?;
-        eprintln!(
-            "cmr: merged quarantine: {} record(s) after dedupe",
-            merged.len()
-        );
+        eprintln!("cmr: merged quarantine: {} record(s)", merged.len());
     }
     Ok(lines)
 }

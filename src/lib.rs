@@ -61,7 +61,7 @@ pub mod prelude {
     pub use cmr_corpus::{CorpusBuilder, GoldRecord, NoiseConfig, NoiseInjector, SmokingStatus};
     pub use cmr_engine::{
         read_journal, read_quarantine, BatchOutput, DegradationTotals, Engine, EngineConfig,
-        EngineError, EngineMetrics, JournalEntry, JournalWriter, QuarantineFile, RunManifest,
+        EngineError, EngineMetrics, JournalEntry, JournalWriter, QuarantineEntry, RunManifest,
     };
     pub use cmr_eval::{MultiValueScore, PrecisionRecall};
     pub use cmr_lexicon::Lemmatizer;

@@ -538,9 +538,12 @@ fn compacted_kill_then_resume_keeps_every_count() {
     }
 
     // Every note is over a 5-sentence budget. The failure count printed
-    // after the resume covers the records before the snapshot too.
+    // after the resume covers the records before the snapshot too, and
+    // the quarantine ends byte-identical to an uninterrupted one-worker
+    // run's: one entry per note, in input order.
     let journal = dir.join("budget.journal");
     let journal = journal.to_str().expect("utf-8 path");
+    let (quarantine, full_quarantine) = (dir.join("run.q"), dir.join("full.q"));
     let budget_run = |extra: &[&str]| {
         let common = [
             "--max-sentences",
@@ -549,6 +552,8 @@ fn compacted_kill_then_resume_keeps_every_count() {
             journal,
             "--compact-every",
             "10",
+            "--quarantine",
+            quarantine.to_str().expect("utf-8 path"),
         ];
         extract(&[&common[..], extra].concat(), &out)
     };
@@ -560,6 +565,25 @@ fn compacted_kill_then_resume_keeps_every_count() {
     assert!(
         stderr.contains("cmr: 40 record(s) failed"),
         "the failure count covers the compacted records: {stderr}"
+    );
+    let uninterrupted = cmr()
+        .args(["extract", "--ndjson", "--jobs", "1", "--max-sentences", "5"])
+        .arg("--quarantine")
+        .arg(&full_quarantine)
+        .arg("--out")
+        .arg(dir.join("budget-full.ndjson"))
+        .arg(&corpus)
+        .output()
+        .expect("run cmr extract");
+    assert!(uninterrupted.status.success());
+    let (got, want) = (
+        std::fs::read_to_string(&quarantine).expect("resumed quarantine"),
+        std::fs::read_to_string(&full_quarantine).expect("uninterrupted quarantine"),
+    );
+    assert_eq!(want.lines().count(), 40, "one entry per failed note");
+    assert_eq!(
+        got, want,
+        "the resumed quarantine must be byte-identical to the uninterrupted run's"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
