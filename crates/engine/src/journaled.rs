@@ -22,9 +22,9 @@
 //!   record so far. The flush comes first: the snapshot may only
 //!   describe bytes that survive a crash.
 //! * **Clean abort.** An I/O failure on the journal, the output or the
-//!   quarantine raises the engine's shutdown flag. In-flight records drain without being
-//!   journaled or emitted, and the journal stays a valid prefix that a
-//!   later resume completes.
+//!   quarantine raises the engine's shutdown flag. In-flight records
+//!   drain without being journaled or emitted, and the journal stays a
+//!   valid prefix that a later resume completes.
 //!
 //! Fault injection: the `shard::kill` failpoint is checked before each
 //! record is journaled; a fire stands in for the process dying there.
@@ -239,8 +239,9 @@ pub struct JournalOutcome {
 pub enum JournalRunError {
     /// The journal cannot be resumed as this run (another manifest, a
     /// corrupt journal, an output prefix that is missing or was
-    /// modified, a quarantine prefix that does not match the snapshot),
-    /// or the output or quarantine file could not be opened.
+    /// modified, a quarantine holding fewer entries than the snapshot
+    /// counts failures), or the output or quarantine file could not be
+    /// opened.
     Refused(String),
     /// Creating or reopening the journal failed.
     Journal(String),
