@@ -8,14 +8,14 @@
 //!
 //! * **Resume.** A journal that died at birth (no complete manifest
 //!   line) is started fresh. Otherwise the manifest must match this run.
-//!   The journaled prefix streams back to the output and the quarantine,
-//!   one entry at a time, with each failed record's text read from the
-//!   feed in step; only the remainder is extracted. After a compaction
-//!   the output file's prefix is verified against the snapshot
-//!   fingerprint, the quarantine keeps the entries before the snapshot,
-//!   and anything after them is truncated. The run's metrics start from
-//!   the snapshot's counts, and every replayed entry is counted the way
-//!   the engine counts a live record, so they cover the whole corpus.
+//!   The journaled prefix streams back to the output and the quarantine
+//!   (the feed, read in step, gives failed records' texts), and only the
+//!   remainder is extracted. After a compaction the output file's prefix
+//!   is verified against the snapshot fingerprint, the quarantine keeps
+//!   its entries before the snapshot, and the rest is truncated. The
+//!   run's metrics start from the snapshot's counts, and every replayed
+//!   entry is counted the way the engine counts a live record, so they
+//!   cover the whole corpus.
 //! * **Compaction.** Every `compact_every` records this run journals, the
 //!   output and the quarantine are flushed and then the journal is
 //!   rewritten as manifest + snapshot, which carries the counts of every
@@ -238,10 +238,8 @@ pub struct JournalOutcome {
 #[derive(Debug)]
 pub enum JournalRunError {
     /// The journal cannot be resumed as this run (another manifest, a
-    /// corrupt journal, an output prefix that is missing or was
-    /// modified, a quarantine holding fewer entries than the snapshot
-    /// counts failures), or the output or quarantine file could not be
-    /// opened.
+    /// corrupt journal, a missing or modified output prefix, too few
+    /// quarantine entries), or the output or quarantine can't be opened.
     Refused(String),
     /// Creating or reopening the journal failed.
     Journal(String),

@@ -108,8 +108,8 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("scratch dir");
         let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("run file");
 
-        let (want_out, want_quarantine) = (dir.join("want.out"), dir.join("want.q"));
-        let mut sink = RecordSink::open(Some(&want_out), Some(&want_quarantine)).expect("sink");
+        let (want_out, want_q) = (dir.join("want.out"), dir.join("want.q"));
+        let mut sink = RecordSink::open(Some(&want_out), Some(&want_q)).expect("sink");
         let uninterrupted = Engine::new(
             EngineConfig { jobs: 1, ..cfg },
             cmr_core::Schema::paper(),
